@@ -119,7 +119,7 @@ void AblateDecomposition(const BenchDataset& dataset, size_t queries) {
       if (!extracted.ok()) continue;
       auto qo = system->owner().AnonymizeQuery(extracted->query);
       if (!qo.ok()) continue;
-      auto decomposition = DecomposeQuery(*qo, stats);
+      auto decomposition = DecomposeQueryUnits(*qo, stats, /*max_depth=*/1);
       if (!decomposition.ok()) continue;
       ilp_cost += decomposition->total_cost;
 

@@ -22,9 +22,8 @@
 #include "match/index.h"
 #include "match/query_unit.h"
 #include "match/result_join.h"
-#include "match/star_matcher.h"
-#include "match/unit_matcher.h"
 #include "match/subgraph_matcher.h"
+#include "match/unit_matcher.h"
 #include "util/bitvector.h"
 #include "util/intersect.h"
 #include "util/logging.h"
@@ -317,8 +316,8 @@ struct JoinWorkload {
   CloudIndex index;
   GkStatistics stats;
   std::vector<AttributedGraph> qos;
-  std::vector<StarDecomposition> decompositions;
-  std::vector<std::vector<StarMatches>> star_sets;  // Gk vertex ids.
+  std::vector<UnitDecomposition> decompositions;  // Star-only plans.
+  std::vector<std::vector<UnitMatches>> star_sets;  // Gk vertex ids.
 
   /// One workload per k, built lazily and cached for the binary's lifetime.
   static JoinWorkload& Get(uint32_t k) {
@@ -363,8 +362,8 @@ struct JoinWorkload {
     struct Candidate {
       size_t peak_rows;
       AttributedGraph qo;
-      StarDecomposition decomposition;
-      std::vector<StarMatches> stars;
+      UnitDecomposition decomposition;
+      std::vector<UnitMatches> stars;
     };
     std::vector<Candidate> candidates;
     Rng rng(17);
@@ -373,12 +372,13 @@ struct JoinWorkload {
       PPSM_CHECK_OK(extracted);
       auto qo = w->lct.AnonymizeGraph(extracted->query);
       PPSM_CHECK_OK(qo);
-      auto decomposition = DecomposeQuery(*qo, w->stats);
+      auto decomposition =
+          DecomposeQueryUnits(*qo, w->stats, /*max_depth=*/1);
       PPSM_CHECK_OK(decomposition);
-      if (decomposition->centers.size() < 2) continue;
-      std::vector<StarMatches> stars =
-          MatchStars(w->go.graph, w->index, *qo, decomposition->centers);
-      for (StarMatches& star : stars) {
+      if (decomposition->units.size() < 2) continue;
+      std::vector<UnitMatches> stars =
+          MatchUnits(w->go.graph, w->index, *qo, decomposition->units);
+      for (UnitMatches& star : stars) {
         MatchSet translated(star.matches.arity());
         std::vector<VertexId> row(star.matches.arity());
         for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
@@ -392,7 +392,7 @@ struct JoinWorkload {
       }
       JoinDiagnostics diagnostics;
       JoinOptions probe_options;
-      auto rin = JoinStarMatches(stars, w->kag.avt, qo->NumVertices(),
+      auto rin = JoinUnitMatches(stars, w->kag.avt, qo->NumVertices(),
                                  probe_options, &diagnostics);
       if (!rin.ok() || rin->NumMatches() == 0) continue;
       candidates.push_back(Candidate{diagnostics.peak_rows, std::move(*qo),
@@ -415,21 +415,21 @@ struct JoinWorkload {
   }
 };
 
-// Args: {threads, use_aux_graph}. The {t, 0} rows are the legacy
-// filter-while-walking inner loop, the {t, 1} rows the aux-graph +
-// intersection-kernel path — same rows byte for byte, so the delta is pure
-// inner-loop speedup.
+// Star-only plans through the unit matcher. Args: {threads, use_aux_graph}.
+// The {t, 0} rows fill slot lists by LeafCompatible filtering, the {t, 1}
+// rows by aux-graph intersection — same rows byte for byte, so the delta is
+// pure list-source speedup.
 void BM_MatchStarsThreads(benchmark::State& state) {
   JoinWorkload& w = JoinWorkload::Get(3);
-  StarMatchOptions options;
+  UnitMatchOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
   options.use_aux_graph = state.range(1) != 0;
   for (auto _ : state) {
     size_t rows = 0;
     for (size_t q = 0; q < w.qos.size(); ++q) {
-      const auto stars = MatchStars(w.go.graph, w.index, w.qos[q],
-                                    w.decompositions[q].centers, options);
-      for (const StarMatches& star : stars) rows += star.matches.NumMatches();
+      const auto stars = MatchUnits(w.go.graph, w.index, w.qos[q],
+                                    w.decompositions[q].units, options);
+      for (const UnitMatches& star : stars) rows += star.matches.NumMatches();
     }
     benchmark::DoNotOptimize(rows);
   }
@@ -554,7 +554,7 @@ void JoinBench(benchmark::State& state, uint32_t k, bool eager,
     JoinDiagnostics diagnostics;
     size_t rows = 0;
     for (size_t q = 0; q < w.qos.size(); ++q) {
-      auto rin = JoinStarMatches(w.star_sets[q], w.kag.avt,
+      auto rin = JoinUnitMatches(w.star_sets[q], w.kag.avt,
                                  w.qos[q].NumVertices(), options,
                                  &diagnostics);
       PPSM_CHECK_OK(rin);

@@ -37,7 +37,7 @@ Status ValidateChannelConfig(const ChannelConfig& config);
 /// bytes themselves; the channel just records what a real link would have
 /// cost.
 ///
-/// Thread-safe: concurrent queries (PpsmSystem::QueryBatch) account their
+/// Thread-safe: concurrent queries (PpsmSystem::ExecuteBatch) account their
 /// request/response transfers through one shared channel, so the totals and
 /// the log are guarded by an internal mutex. Exception: the reference
 /// returned by log() is only safe to read while no Transfer runs.
@@ -55,7 +55,7 @@ class SimulatedChannel {
 
   /// Records a message of `bytes` and returns its simulated transfer time in
   /// milliseconds. Thread-safe; const because concurrent accounting must run
-  /// under PpsmSystem::Query() const (the bookkeeping is observability, not
+  /// under PpsmSystem::Execute() const (the bookkeeping is observability, not
   /// logical channel state).
   double Transfer(size_t bytes, const std::string& description) const;
 

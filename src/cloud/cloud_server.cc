@@ -7,7 +7,6 @@
 
 #include "match/decomposition.h"
 #include "match/result_join.h"
-#include "match/star_matcher.h"
 #include "match/unit_matcher.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -143,7 +142,7 @@ CloudConfig ToCloudConfig(const ShardConfig& shard,
 }
 
 /// The decomposition memo: ILP plans keyed by canonical Qo signature. The
-/// only mutable state of a hosted server, guarded by `mu` so AnswerQuery
+/// only mutable state of a hosted server, guarded by `mu` so Serve
 /// stays const and thread-safe. Heap-allocated because std::mutex pins the
 /// address and CloudServer is moved out of Host().
 struct CloudServer::PlanCache {
@@ -268,36 +267,11 @@ PlanCacheStats CloudServer::plan_cache_stats() const {
   return stats;
 }
 
-Result<WireAnswer> CloudServer::AnswerQuery(
-    std::span<const uint8_t> qo_bytes) const {
-  const auto deadline =
-      config_.query_deadline_ms == 0
-          ? SteadyClock::time_point::max()
-          : SteadyClock::now() +
-                std::chrono::milliseconds(config_.query_deadline_ms);
-  QueryContext ctx;
-  ctx.deadline = deadline;
-  return Serve(qo_bytes, ctx);
-}
-
-Result<WireAnswer> CloudServer::AnswerQuery(
-    std::span<const uint8_t> qo_bytes,
-    SteadyClock::time_point deadline) const {
-  QueryContext ctx;
-  ctx.deadline = deadline;
-  return Serve(qo_bytes, ctx);
-}
-
-Result<WireAnswer> CloudServer::AnswerQuery(
-    std::span<const uint8_t> qo_bytes, const QueryContext& ctx) const {
-  return Serve(qo_bytes, ctx);
-}
-
 Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
                                       const QueryContext& ctx) const {
   // Per-query stats, filled as the phases run and published to ctx.stats on
   // EVERY return path — failure included — via this scope guard. The
-  // Result<Answer> cannot carry stats on an error, and the failed queries
+  // Result<WireAnswer> cannot carry stats on an error, and the failed queries
   // are exactly the ones the flight recorder needs full accounting for.
   CloudQueryStats stats;
   stats.query_id =
@@ -328,7 +302,7 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
     return Status::InvalidArgument("empty query");
   }
 
-  Answer answer;
+  WireAnswer answer;
   TraceSpan query_span(Tracer::Global(), "cloud.answer_query", "query");
   query_span.AddArg("query_id", stats.query_id);
   const CloudMetrics& metrics = CloudMetrics::Get();
@@ -382,9 +356,9 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
   }
 
   // Phase 2: unit matching over the hosted graph (Algorithm 1, generalized).
-  // MatchUnits spreads the units across the pool workers — star units run
-  // MatchStar verbatim, deeper units the scoped backtracker — and each
-  // candidate-root loop is additionally chunked, all bounded by the row cap
+  // MatchUnits spreads the units across the pool workers — stars are
+  // depth-1 units of the same enumerator — and each candidate-root loop is
+  // additionally chunked, all bounded by the row cap
   // so pathological queries fail with ResourceExhausted instead of
   // exhausting the machine. An expired deadline cancels the remaining units
   // and candidate chunks, so the query stops within one chunk of expiry.
@@ -439,12 +413,12 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
   if (has_deadline && SteadyClock::now() >= deadline) {
     return timeout("during star matching");
   }
-  for (const StarMatches& star : stars) {
+  for (const UnitMatches& star : stars) {
     metrics.star_rows.Observe(
         static_cast<double>(star.matches.NumMatches()));
   }
   // Translate to Gk ids so the join can apply the automorphic functions.
-  for (StarMatches& star : stars) {
+  for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
     std::vector<VertexId> row(star.matches.arity());
     for (size_t r = 0; r < star.matches.NumMatches(); ++r) {

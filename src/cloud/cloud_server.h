@@ -130,9 +130,6 @@ class CloudServer : public QueryHandler {
   static Result<CloudServer> HostSlice(UploadPackage package,
                                        const ShardConfig& config);
 
-  /// Legacy alias for the wire-level reply (now query/query_api.h).
-  using Answer = WireAnswer;
-
   /// The one query entry point (QueryHandler): evaluates a serialized Qo
   /// under the given context. ctx.stats, when set, is filled on every
   /// return path — failure included.
@@ -141,17 +138,6 @@ class CloudServer : public QueryHandler {
   ServiceLimits limits() const override {
     return {config_.max_inflight, config_.query_deadline_ms};
   }
-
-  /// Legacy entry points, collapsed onto Serve().
-  [[deprecated("use Serve(qo_bytes) — one entry point for all callers")]]
-  Result<WireAnswer> AnswerQuery(std::span<const uint8_t> qo_bytes) const;
-  [[deprecated("use Serve(qo_bytes, ctx) with QueryContext::deadline")]]
-  Result<WireAnswer> AnswerQuery(
-      std::span<const uint8_t> qo_bytes,
-      std::chrono::steady_clock::time_point deadline) const;
-  [[deprecated("use Serve(qo_bytes, ctx)")]]
-  Result<WireAnswer> AnswerQuery(std::span<const uint8_t> qo_bytes,
-                                 const QueryContext& ctx) const;
 
   const CloudConfig& config() const { return config_; }
   /// Star-matching workers per query (config().num_threads, clamped >= 1).

@@ -9,7 +9,6 @@
 #include "cloud/shard_exchange.h"
 #include "match/decomposition.h"
 #include "match/result_join.h"
-#include "match/star_matcher.h"
 #include "match/unit_matcher.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -509,7 +508,7 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
     const std::vector<VertexId>& to_global = to_global_[s];
     ShardProfile& profile = stats.shards[s];
     profile.shard = static_cast<uint32_t>(s);
-    for (StarMatches& star : shard_rows[s]) {
+    for (UnitMatches& star : shard_rows[s]) {
       MatchSet translated(star.matches.arity());
       translated.ReserveAdditional(star.matches.NumMatches());
       std::vector<VertexId> row(star.matches.arity());
@@ -541,7 +540,7 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
   // payload is independent of k.
   for (size_t s = 1; s < shards_.size(); ++s) {
     ExchangeStats exchange;
-    Result<std::vector<StarMatches>> shipped_or = [&] {
+    Result<std::vector<UnitMatches>> shipped_or = [&] {
       PPSM_TRACE_SPAN_CAT("cluster.exchange", "query");
       return ShipStarRows(shard_rows[s], channels_[s],
                           "shard " + std::to_string(s) + " star rows",
@@ -556,11 +555,11 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
 
   // Phase 2c: k-way merge back into the global enumeration order, then the
   // merged-total row cap (the unsharded refusal boundary).
-  Result<std::vector<StarMatches>> merged_or =
-      MergeShardStarMatches(shard_rows);
-  PPSM_ASSIGN_OR_RETURN(std::vector<StarMatches> stars,
+  Result<std::vector<UnitMatches>> merged_or =
+      MergeShardUnitMatches(shard_rows);
+  PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> stars,
                         std::move(merged_or));
-  for (StarMatches& star : stars) {
+  for (UnitMatches& star : stars) {
     if (star.matches.NumMatches() > kMaxRows) star.truncated = true;
   }
 
@@ -596,7 +595,7 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
   stats.intersect_simd =
       phase_stats.intersect_simd.load(std::memory_order_relaxed);
   // Translate the merged global rows to Gk ids for the join.
-  for (StarMatches& star : stars) {
+  for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
     translated.ReserveAdditional(star.matches.NumMatches());
     std::vector<VertexId> row(star.matches.arity());

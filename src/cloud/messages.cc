@@ -184,11 +184,11 @@ Result<GkStatistics> DeserializeGkStatistics(std::span<const uint8_t> bytes) {
 }
 
 std::vector<uint8_t> SerializeStarRows(
-    const std::vector<StarMatches>& stars) {
+    const std::vector<UnitMatches>& stars) {
   BinaryWriter writer;
   writer.PutU32(kStarRowsMagic);
   writer.PutVarint(stars.size());
-  for (const StarMatches& star : stars) {
+  for (const UnitMatches& star : stars) {
     writer.PutVarint(star.center);
     writer.PutVarint(star.columns.size());
     for (const VertexId column : star.columns) writer.PutVarint(column);
@@ -199,7 +199,7 @@ std::vector<uint8_t> SerializeStarRows(
   return writer.TakeBytes();
 }
 
-Result<std::vector<StarMatches>> DeserializeStarRows(
+Result<std::vector<UnitMatches>> DeserializeStarRows(
     std::span<const uint8_t> bytes) {
   BinaryReader reader(bytes);
   PPSM_ASSIGN_OR_RETURN(const uint32_t magic, reader.GetU32());
@@ -210,10 +210,10 @@ Result<std::vector<StarMatches>> DeserializeStarRows(
   if (num_stars > reader.remaining()) {
     return Status::OutOfRange("star count exceeds payload");
   }
-  std::vector<StarMatches> stars;
+  std::vector<UnitMatches> stars;
   stars.reserve(num_stars);
   for (uint64_t s = 0; s < num_stars; ++s) {
-    StarMatches star;
+    UnitMatches star;
     PPSM_ASSIGN_OR_RETURN(const uint64_t center, reader.GetVarint());
     star.center = static_cast<VertexId>(center);
     PPSM_ASSIGN_OR_RETURN(const uint64_t num_columns, reader.GetVarint());

@@ -9,7 +9,7 @@
 #include "graph/attributed_graph.h"
 #include "kauto/avt.h"
 #include "kauto/outsourced_graph.h"
-#include "match/star_matcher.h"
+#include "match/unit_matcher.h"
 #include "match/statistics.h"
 #include "partition/multilevel_partitioner.h"
 #include "util/status.h"
@@ -63,8 +63,8 @@ Result<GkStatistics> DeserializeGkStatistics(std::span<const uint8_t> bytes);
 /// are the *un-expanded* R(S,Go) tuples (already translated to global
 /// Go-local ids by the sender), so by the probe-join design the byte count
 /// is independent of the privacy parameter k.
-std::vector<uint8_t> SerializeStarRows(const std::vector<StarMatches>& stars);
-Result<std::vector<StarMatches>> DeserializeStarRows(
+std::vector<uint8_t> SerializeStarRows(const std::vector<UnitMatches>& stars);
+Result<std::vector<UnitMatches>> DeserializeStarRows(
     std::span<const uint8_t> bytes);
 
 /// One shard's slice of the outsourced upload, produced by BuildShardUploads
@@ -84,7 +84,7 @@ struct ShardUpload {
   std::vector<VertexId> to_global;
   /// owned[l] == 1 iff slice-local vertex l is an owned B1 vertex (its
   /// matches are this shard's to report; halo vertices are pruned from the
-  /// candidate shortlist via StarMatchOptions::candidate_filter).
+  /// candidate shortlist via UnitMatchOptions::candidate_filter).
   std::vector<uint8_t> owned;
   /// Global cost-model statistics (identical across the shards of a plan).
   GkStatistics stats;

@@ -123,9 +123,6 @@ QueryService::QueryService(const QueryHandler* handler, ServiceLimits limits)
 QueryService::QueryService(const QueryHandler* handler)
     : QueryService(handler, handler->limits()) {}
 
-QueryService::QueryService(const CloudServer* server)
-    : QueryService(static_cast<const QueryHandler*>(server)) {}
-
 Result<WireAnswer> QueryService::Execute(
     std::span<const uint8_t> qo_bytes) const {
   const uint64_t budget_ms = limits_.query_deadline_ms;

@@ -66,9 +66,6 @@ class QueryService {
   QueryService(const QueryHandler* handler, ServiceLimits limits);
   /// Convenience: limits come from the handler itself.
   explicit QueryService(const QueryHandler* handler);
-  /// Legacy single-server constructor (CloudServer is a QueryHandler now).
-  [[deprecated("construct from a QueryHandler — QueryService(&server)")]]
-  explicit QueryService(const CloudServer* server);
 
   /// Evaluates one serialized Qo under admission control, with the deadline
   /// clock started now (queue wait counts against it).

@@ -4,8 +4,8 @@
 
 namespace ppsm {
 
-Result<std::vector<StarMatches>> ShipStarRows(
-    const std::vector<StarMatches>& stars, const SimulatedChannel& channel,
+Result<std::vector<UnitMatches>> ShipStarRows(
+    const std::vector<UnitMatches>& stars, const SimulatedChannel& channel,
     const std::string& description, ExchangeStats* stats) {
   const std::vector<uint8_t> payload = SerializeStarRows(stars);
   const double transfer_ms = channel.Transfer(payload.size(), description);
@@ -16,29 +16,29 @@ Result<std::vector<StarMatches>> ShipStarRows(
   return DeserializeStarRows(payload);
 }
 
-Result<std::vector<StarMatches>> MergeShardStarMatches(
-    const std::vector<std::vector<StarMatches>>& shard_rows) {
+Result<std::vector<UnitMatches>> MergeShardUnitMatches(
+    const std::vector<std::vector<UnitMatches>>& shard_rows) {
   if (shard_rows.empty()) {
     return Status::InvalidArgument("merge needs at least one shard stream");
   }
   const size_t num_stars = shard_rows.front().size();
-  for (const std::vector<StarMatches>& rows : shard_rows) {
+  for (const std::vector<UnitMatches>& rows : shard_rows) {
     if (rows.size() != num_stars) {
       return Status::InvalidArgument(
           "shard streams disagree on the star count");
     }
   }
 
-  std::vector<StarMatches> merged;
+  std::vector<UnitMatches> merged;
   merged.reserve(num_stars);
   for (size_t star = 0; star < num_stars; ++star) {
-    StarMatches out;
+    UnitMatches out;
     out.center = shard_rows.front()[star].center;
     out.columns = shard_rows.front()[star].columns;
     out.matches = MatchSet(out.columns.size());
     size_t total_rows = 0;
-    for (const std::vector<StarMatches>& rows : shard_rows) {
-      const StarMatches& part = rows[star];
+    for (const std::vector<UnitMatches>& rows : shard_rows) {
+      const UnitMatches& part = rows[star];
       if (part.center != out.center || part.columns != out.columns) {
         return Status::InvalidArgument(
             "shard streams disagree on star layout");

@@ -5,7 +5,7 @@
 
 #include "cloud/channel.h"
 #include "cloud/messages.h"
-#include "match/star_matcher.h"
+#include "match/unit_matcher.h"
 #include "util/status.h"
 
 namespace ppsm {
@@ -27,8 +27,8 @@ struct ExchangeStats {
 /// hand-off), so a codec regression breaks the equivalence tests instead of
 /// hiding behind shared memory. Rows must already be translated to global
 /// Go-local ids by the sender.
-Result<std::vector<StarMatches>> ShipStarRows(
-    const std::vector<StarMatches>& stars, const SimulatedChannel& channel,
+Result<std::vector<UnitMatches>> ShipStarRows(
+    const std::vector<UnitMatches>& stars, const SimulatedChannel& channel,
     const std::string& description, ExchangeStats* stats = nullptr);
 
 /// Merges per-shard star-match streams into the global streams the unsharded
@@ -36,14 +36,14 @@ Result<std::vector<StarMatches>> ShipStarRows(
 /// shard evaluated the SAME decomposition, so `shard_rows[s][i]` is shard
 /// s's rows for star i, with identical centers/columns across shards. Within
 /// a stream rows are grouped by candidate center (match column 0) in
-/// ascending id order — MatchStar enumerates its shortlist that way — and
+/// ascending id order — MatchUnits enumerates its shortlist that way — and
 /// shards own disjoint candidate sets, so a run-copying k-way merge on
 /// column 0 reproduces the global enumeration order exactly.
 /// `num_candidates` sums and `truncated` ORs across shards; a truncated
 /// input skips the row merge for that star (the caller refuses the query
 /// anyway, matching the unsharded ResourceExhausted boundary).
-Result<std::vector<StarMatches>> MergeShardStarMatches(
-    const std::vector<std::vector<StarMatches>>& shard_rows);
+Result<std::vector<UnitMatches>> MergeShardUnitMatches(
+    const std::vector<std::vector<UnitMatches>>& shard_rows);
 
 }  // namespace ppsm
 

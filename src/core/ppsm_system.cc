@@ -54,25 +54,6 @@ struct SystemMetrics {
   }
 };
 
-/// Refolds a flat QueryResponse into the legacy QueryOutcome shape (the
-/// deprecated shims' return type).
-Result<QueryOutcome> ToQueryOutcome(QueryResponse response) {
-  if (!response.ok()) return response.status;
-  QueryOutcome outcome;
-  outcome.results = std::move(response.matches);
-  outcome.cloud = std::move(response.cloud);
-  outcome.client.expand_ms = response.client_expand_ms;
-  outcome.client.filter_ms = response.client_filter_ms;
-  outcome.client.total_ms = response.client_ms;
-  outcome.client.candidates = response.client_candidates;
-  outcome.client.results = outcome.results.NumMatches();
-  outcome.network_ms = response.network_ms;
-  outcome.total_ms = response.total_ms;
-  outcome.request_bytes = response.request_bytes;
-  outcome.response_bytes = response.response_bytes;
-  return outcome;
-}
-
 }  // namespace
 
 const char* MethodName(Method method) {
@@ -159,8 +140,7 @@ Result<PpsmSystem> PpsmSystem::HostFromOwner(std::unique_ptr<DataOwner> owner,
         CloudServer::Host(system.owner_->upload_bytes(), config.cloud));
     system.cloud_ = std::make_unique<CloudServer>(std::move(cloud));
   }
-  system.service_ = std::make_unique<QueryService>(
-      static_cast<const QueryHandler*>(system.cloud_.get()));
+  system.service_ = std::make_unique<QueryService>(system.cloud_.get());
   return system;
 }
 
@@ -309,28 +289,6 @@ BatchResult PpsmSystem::ExecuteBatch(std::span<const QueryRequest> requests,
     batch.summary.p95_ms = latencies.Percentile(95.0);
   }
   batch.summary.plan_cache = CloudPlanCacheStats();
-  return batch;
-}
-
-Result<QueryOutcome> PpsmSystem::Query(const AttributedGraph& query) const {
-  QueryRequest request;
-  request.pattern = query;
-  return ToQueryOutcome(Execute(request));
-}
-
-BatchOutcome PpsmSystem::QueryBatch(std::span<const AttributedGraph> queries,
-                                    size_t concurrency) const {
-  std::vector<QueryRequest> requests(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    requests[i].pattern = queries[i];
-  }
-  BatchResult result = ExecuteBatch(requests, concurrency);
-  BatchOutcome batch;
-  batch.summary = result.summary;
-  batch.outcomes.reserve(result.responses.size());
-  for (QueryResponse& response : result.responses) {
-    batch.outcomes.push_back(ToQueryOutcome(std::move(response)));
-  }
   return batch;
 }
 

@@ -58,19 +58,6 @@ struct SystemConfig {
   uint32_t go_hops = 1;
 };
 
-/// One privacy-preserving subgraph query, end to end (paper Fig. 22's
-/// decomposition: cloud time + network time + client time). Legacy shape —
-/// new callers receive the flat QueryResponse from Execute() instead.
-struct QueryOutcome {
-  MatchSet results;  // Exact R(Q,G).
-  CloudQueryStats cloud;
-  DataOwner::ClientStats client;
-  double network_ms = 0.0;  // Simulated request + response transfer.
-  double total_ms = 0.0;    // cloud + network + client.
-  size_t request_bytes = 0;
-  size_t response_bytes = 0;
-};
-
 /// Aggregate view of one batch run. Latency percentiles are exact (computed
 /// from the per-query wall times of this batch, not the bucketed registry
 /// histograms); throughput is wall-clock queries per second over the whole
@@ -93,12 +80,6 @@ struct BatchSummary {
 /// requests[i] of the ExecuteBatch call.
 struct BatchResult {
   std::vector<QueryResponse> responses;
-  BatchSummary summary;
-};
-
-/// Legacy batch shape returned by the deprecated QueryBatch shim.
-struct BatchOutcome {
-  std::vector<Result<QueryOutcome>> outcomes;
   BatchSummary summary;
 };
 
@@ -132,7 +113,7 @@ class PpsmSystem {
   static Result<PpsmSystem> LoadSnapshot(const std::string& directory,
                                          const SystemConfig& config);
 
-  /// One query end to end — THE entry point; everything else is a shim.
+  /// One query end to end — THE entry point.
   /// Never throws and never loses stats: a refused/expired/failed query
   /// comes back with response.status set and the phases that ran accounted.
   /// Thread-safe.
@@ -145,15 +126,6 @@ class PpsmSystem {
   /// completes.
   BatchResult ExecuteBatch(std::span<const QueryRequest> requests,
                            size_t concurrency = 0) const;
-
-  /// Legacy single-query entry point.
-  [[deprecated("use Execute(QueryRequest) — one request/response pair")]]
-  Result<QueryOutcome> Query(const AttributedGraph& query) const;
-
-  /// Legacy batch entry point.
-  [[deprecated("use ExecuteBatch(std::span<const QueryRequest>)")]]
-  BatchOutcome QueryBatch(std::span<const AttributedGraph> queries,
-                          size_t concurrency = 0) const;
 
   /// Flight-recorder views: the process-global recorder's ring of recent
   /// query profiles and its slow/failed-query captures (every query routed

@@ -17,7 +17,7 @@ constexpr size_t kBlock = 64;
 
 /// Materialization cap: a candidate list only ever beats the bitmap-filter
 /// walk when it is several times smaller than the adjacency it intersects
-/// (matcher_internal::SlotCandidates uses kListWalkCrossover = 4), so a
+/// (the unit matcher's SlotCandidates uses kListWalkCrossover = 4), so a
 /// class spanning a large fraction of the data graph can never win — its
 /// O(candidates) materialization would be pure build cost. The constant term
 /// keeps small graphs (tests, benches) fully materialized.

@@ -16,7 +16,7 @@ class CloudIndex;
 /// Query-local auxiliary graph (GraphMini-style, see DESIGN.md §15): the
 /// per-query-vertex compatibility relation of matcher_internal::LeafCompatible
 /// — type-set + label-group containment against the data graph — computed
-/// ONCE per query and frozen, so the matchers' inner loops stop re-deriving
+/// ONCE per query and frozen, so the matcher's inner loops stop re-deriving
 /// it per (candidate, neighbor, slot) triple with two containment scans.
 ///
 /// Query vertices with identical (types, labels) signatures share one
@@ -63,7 +63,7 @@ class QueryAuxGraph {
   /// only for classes small enough that intersecting them against a vertex
   /// adjacency could ever beat an O(degree) bitmap-filter walk; a class
   /// spanning a large fraction of the data graph never can, so Build skips
-  /// its O(candidates) materialization and the matchers walk the adjacency
+  /// its O(candidates) materialization and the matcher walks the adjacency
   /// testing the class bitmap instead (same ascending output either way).
   bool ClassMaterialized(size_t cls) const { return materialized_[cls] != 0; }
 

@@ -13,9 +13,8 @@ namespace ppsm {
 
 namespace {
 
-/// Typed validation of caller-supplied cost vectors (shared by the star and
-/// unit WithCosts entry points): the documented preconditions are enforced,
-/// not assumed.
+/// Typed validation of caller-supplied cost vectors: the documented
+/// preconditions are enforced, not assumed.
 Status ValidateCosts(const std::vector<double>& costs, size_t expected,
                      const char* expected_what) {
   if (costs.size() != expected) {
@@ -32,86 +31,13 @@ Status ValidateCosts(const std::vector<double>& costs, size_t expected,
   return Status::OK();
 }
 
-/// Shared ILP assembly + solve once per-vertex costs are known.
-Result<StarDecomposition> DecomposeWithCosts(const AttributedGraph& qo,
-                                             CoverIlp model) {
-  qo.ForEachEdge([&model](VertexId u, VertexId v) {
-    model.constraints.push_back({u, v});
-  });
-  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-    if (qo.Degree(v) == 0) model.constraints.push_back({v});
-  }
-
-  Result<CoverSolution> solution_or = [&] {
-    PPSM_TRACE_SPAN_CAT("cloud.decompose.ilp", "query");
-    return SolveCoverIlp(model);
-  }();
-  PPSM_ASSIGN_OR_RETURN(const CoverSolution solution,
-                        std::move(solution_or));
-
-  StarDecomposition decomposition;
-  decomposition.ilp_nodes = solution.nodes_explored;
-  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-    if (solution.selected[v]) {
-      decomposition.centers.push_back(v);
-      decomposition.estimates.push_back(model.cost[v]);
-      decomposition.total_cost += model.cost[v];
-    }
-  }
-  return decomposition;
-}
-
-}  // namespace
-
-Result<StarDecomposition> DecomposeQuery(const AttributedGraph& qo,
-                                         const GkStatistics& stats) {
-  if (qo.NumVertices() == 0) {
-    return Status::InvalidArgument("query has no vertices");
-  }
-  CoverIlp model;
-  model.cost.reserve(qo.NumVertices());
-  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-    model.cost.push_back(EstimateStarCardinality(stats, qo, v));
-  }
-  return DecomposeWithCosts(qo, std::move(model));
-}
-
-Result<StarDecomposition> DecomposeQuery(const AttributedGraph& qo,
-                                         const GkStatistics& stats,
-                                         const AttributedGraph& data,
-                                         const CloudIndex& index) {
-  if (qo.NumVertices() == 0) {
-    return Status::InvalidArgument("query has no vertices");
-  }
-  CoverIlp model;
-  model.cost.reserve(qo.NumVertices());
-  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-    model.cost.push_back(
-        EstimateStarCardinalityCandidateAware(stats, data, index, qo, v));
-  }
-  return DecomposeWithCosts(qo, std::move(model));
-}
-
-Result<StarDecomposition> DecomposeQueryWithCosts(const AttributedGraph& qo,
-                                                  std::vector<double> costs) {
-  if (qo.NumVertices() == 0) {
-    return Status::InvalidArgument("query has no vertices");
-  }
-  PPSM_RETURN_IF_ERROR(ValidateCosts(costs, qo.NumVertices(), "|V(Qo)|"));
-  CoverIlp model;
-  model.cost = std::move(costs);
-  return DecomposeWithCosts(qo, std::move(model));
-}
-
-namespace {
-
 /// Shared ILP assembly + solve for the generalized unit pipeline: one
 /// variable per candidate unit, one constraint per query edge listing (in
 /// ascending index order) the units that contain it as a *tree* edge, then
 /// singleton constraints for isolated vertices. Because stars are enumerated
 /// first with unit index == root id and ForEachEdge emits u < v, a stars-only
-/// candidate list produces the exact constraint system of the legacy
-/// per-vertex model — same branch-and-bound, same plan.
+/// candidate list produces exactly the paper's per-vertex weighted vertex
+/// cover model (Theorem 2).
 Result<UnitDecomposition> DecomposeUnitsWithCosts(
     const AttributedGraph& qo, std::vector<QueryUnit> candidates,
     CoverIlp model) {
@@ -265,23 +191,6 @@ std::string QoSignature(const AttributedGraph& qo) {
     append_list(qo.Neighbors(v));
   }
   return sig;
-}
-
-bool IsValidDecomposition(const AttributedGraph& qo,
-                          const std::vector<VertexId>& centers) {
-  std::vector<bool> selected(qo.NumVertices(), false);
-  for (const VertexId c : centers) {
-    if (c >= qo.NumVertices()) return false;
-    selected[c] = true;
-  }
-  bool covered = true;
-  qo.ForEachEdge([&](VertexId u, VertexId v) {
-    if (!selected[u] && !selected[v]) covered = false;
-  });
-  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-    if (qo.Degree(v) == 0 && !selected[v]) covered = false;
-  }
-  return covered;
 }
 
 }  // namespace ppsm

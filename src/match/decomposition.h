@@ -11,56 +11,12 @@
 
 namespace ppsm {
 
-/// A star decomposition of the outsourced query Qo (paper §4.2.1): a set of
-/// star roots covering every edge of Qo, chosen to minimize the estimated
-/// total star-match count (Def. 6) via the weighted-vertex-cover ILP.
-struct StarDecomposition {
-  /// Query vertex ids of the selected star roots.
-  std::vector<VertexId> centers;
-  /// Estimated |R(S(center))| per selected center (aligned with `centers`).
-  std::vector<double> estimates;
-  /// Sum of estimates — the Def. 6 decomposition cost.
-  double total_cost = 0.0;
-  /// Branch-and-bound nodes the ILP explored (diagnostics).
-  size_t ilp_nodes = 0;
-};
-
-/// Solves the paper's decomposition ILP exactly:
-///   minimize sum est|R(S(v))| x_v  s.t.  x_u + x_v >= 1 per edge uv.
-/// Isolated query vertices get their own unit constraint {v} so the
-/// decomposition always covers every query vertex. Star cardinalities come
-/// from the §5.1 cost model over `stats`.
-Result<StarDecomposition> DecomposeQuery(const AttributedGraph& qo,
-                                         const GkStatistics& stats);
-
-/// Same ILP, but star cardinalities come from the candidate-aware estimator
-/// (EstimateStarCardinalityCandidateAware) evaluated against the hosted
-/// graph and its index. This is what the cloud server uses: on power-law
-/// graphs it reliably steers the cover away from hub-rooted stars whose
-/// materialized match sets would be astronomically large.
-Result<StarDecomposition> DecomposeQuery(const AttributedGraph& qo,
-                                         const GkStatistics& stats,
-                                         const AttributedGraph& data,
-                                         const CloudIndex& index);
-
-/// Same ILP with the per-vertex star costs supplied by the caller
-/// (`costs[v]` = estimated |R(S(v))|; the size must equal |V(Qo)| and every
-/// cost must be finite and >= 0, else the call fails with a typed
-/// InvalidArgument). The sharded
-/// cloud's coordinator plans with this: it evaluates the candidate-aware
-/// estimator itself over the shard-merged global candidate lists, then asks
-/// for the cover — making the decomposition identical to the unsharded one
-/// without any shard owning the full hosted graph.
-Result<StarDecomposition> DecomposeQueryWithCosts(const AttributedGraph& qo,
-                                                  std::vector<double> costs);
-
-/// A generalized decomposition of Qo into mixed star/path/tree units: a
-/// minimum-estimated-cost set of candidate units whose tree edges cover
-/// every edge of Qo (isolated vertices get singleton coverage). With
-/// max_depth <= 1 only stars are enumerable and the cover ILP degenerates to
-/// the paper's weighted vertex cover — the selected units are then exactly
-/// the legacy StarDecomposition's centers, in the same order, with the same
-/// estimates.
+/// A decomposition of the outsourced query Qo into star/path/tree units
+/// (paper §4.2.1, generalized): a minimum-estimated-cost set of candidate
+/// units whose tree edges cover every edge of Qo (isolated vertices get
+/// singleton coverage), chosen by the cover ILP. With max_depth <= 1 only
+/// stars are enumerable and the ILP degenerates to the paper's weighted
+/// vertex cover (Theorem 2) over per-vertex star costs (Def. 6).
 struct UnitDecomposition {
   /// Selected units, in candidate enumeration order (stars by root id first,
   /// then deeper BFS trees by root id).
@@ -81,7 +37,9 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
 
 /// Generalized decomposition with candidate-aware unit estimates evaluated
 /// against the hosted graph and its index — the unsharded cloud server's
-/// planner.
+/// planner. On power-law graphs these estimates reliably steer the cover
+/// away from hub-rooted units whose match sets would be astronomically
+/// large.
 Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
                                               const GkStatistics& stats,
                                               const AttributedGraph& data,
@@ -92,7 +50,8 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
 /// caller-supplied costs (`costs[i]` = estimated |R(units[i])|, size must
 /// equal units.size(); every cost finite and >= 0 or the call fails with
 /// InvalidArgument). The sharded coordinator plans with this after merging
-/// per-shard candidate lists, mirroring DecomposeQueryWithCosts.
+/// per-shard candidate lists, which makes its plan identical to the
+/// unsharded one without any shard owning the full hosted graph.
 Result<UnitDecomposition> DecomposeQueryUnitsWithCosts(
     const AttributedGraph& qo, std::vector<QueryUnit> units,
     std::vector<double> costs);
@@ -104,18 +63,15 @@ bool IsValidUnitDecomposition(const AttributedGraph& qo,
 
 /// Canonical signature of an outsourced query, the cloud's plan-cache key.
 /// Two queries share a signature iff they have identical vertex ids, type
-/// sets, label(-group) sets and adjacency — exactly the inputs DecomposeQuery
-/// reads from `qo` (the remaining inputs, statistics and the hosted index,
-/// are fixed for the lifetime of a CloudServer), so equal signatures imply
-/// equal decompositions and the ILP solve can be skipped. The encoding is a
-/// compact byte string: |V|, then per vertex its sorted types, labels and
-/// neighbors, each length-prefixed; every field is serialized
-/// little-endian-u32 so the signature is deterministic across platforms.
+/// sets, label(-group) sets and adjacency — exactly the inputs
+/// DecomposeQueryUnits reads from `qo` (the remaining inputs, statistics and
+/// the hosted index, are fixed for the lifetime of a CloudServer), so equal
+/// signatures imply equal decompositions and the ILP solve can be skipped.
+/// The encoding is a compact byte string: |V|, then per vertex its sorted
+/// types, labels and neighbors, each length-prefixed; every field is
+/// serialized little-endian-u32 so the signature is deterministic across
+/// platforms.
 std::string QoSignature(const AttributedGraph& qo);
-
-/// Checks that `centers` covers every edge of `qo` (tests / invariants).
-bool IsValidDecomposition(const AttributedGraph& qo,
-                          const std::vector<VertexId>& centers);
 
 }  // namespace ppsm
 

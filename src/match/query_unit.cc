@@ -79,7 +79,7 @@ std::vector<QueryUnit> EnumerateCandidateUnits(const AttributedGraph& qo,
   std::vector<QueryUnit> units;
   units.reserve(qo.NumVertices() * (max_depth >= 2 ? 2 : 1));
   // Stars first, one per vertex in vertex order: unit index == vertex id,
-  // which keeps the depth-1 ILP model identical to the legacy star model.
+  // which makes the depth-1 ILP model the paper's per-vertex star cover.
   for (VertexId v = 0; v < qo.NumVertices(); ++v) {
     units.push_back(MakeStarUnit(qo, v));
   }

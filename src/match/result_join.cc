@@ -259,14 +259,14 @@ MatchSet ExpandByAutomorphisms(const MatchSet& matches, const Avt& avt) {
   return expanded;
 }
 
-Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
+Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
                                  const Avt& avt, size_t num_query_vertices,
                                  const JoinOptions& options,
                                  JoinDiagnostics* diagnostics) {
   if (stars.empty()) {
     return Status::InvalidArgument("join needs at least one star");
   }
-  for (const StarMatches& star : stars) {
+  for (const UnitMatches& star : stars) {
     if (star.truncated) {
       return Status::ResourceExhausted(
           "star match set was truncated; join would be incomplete");
@@ -422,16 +422,6 @@ Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
   // single most expensive phase of large joins, for presentation only.
   if (options.sorted_output) canonical.SortDedup(options.num_threads);
   return canonical;
-}
-
-Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
-                                 const Avt& avt, size_t num_query_vertices,
-                                 JoinDiagnostics* diagnostics,
-                                 size_t max_rows) {
-  JoinOptions options;
-  options.max_rows = max_rows;
-  return JoinStarMatches(stars, avt, num_query_vertices, options,
-                         diagnostics);
 }
 
 }  // namespace ppsm

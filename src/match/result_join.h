@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "kauto/avt.h"
-#include "match/star_matcher.h"
+#include "match/unit_matcher.h"
 #include "obs/query_profile.h"
 #include "util/status.h"
 
@@ -44,16 +44,16 @@ struct JoinDiagnostics {
 /// Knobs for the result join.
 struct JoinOptions {
   /// Caps every intermediate row count (0 = unlimited); exceeding it makes
-  /// JoinStarMatches return ResourceExhausted instead of exhausting memory.
+  /// JoinUnitMatches return ResourceExhausted instead of exhausting memory.
   size_t max_rows = 0;
   /// Workers for each join step: the probe side (current rows) is
   /// partitioned across them against the read-only shared hash index, with
   /// per-worker buffers concatenated in partition order — results are
   /// identical at any thread count.
   size_t num_threads = 1;
-  /// Estimated |R(S,Gk)| per star from the §5.1 cost model, aligned with
-  /// the `stars` argument (StarDecomposition::estimates). When present it
-  /// orders the join steps (overlapping stars still take precedence);
+  /// Estimated |R(U,Gk)| per unit from the §5.1 cost model, aligned with
+  /// the `units` argument (UnitDecomposition::estimates). When present it
+  /// orders the join steps (overlapping units still take precedence);
   /// empty falls back to actual match counts. The anchor is always chosen
   /// by actual count — that minimizes |Rin| exactly and for free.
   std::vector<double> star_cost_estimates;
@@ -71,51 +71,34 @@ struct JoinOptions {
   bool sorted_output = false;
 };
 
-/// Algorithm 2 (result join): combines per-star match sets over Go into Rin,
-/// the anchored fraction of R(Qo,Gk).
+/// Algorithm 2 (result join): combines per-unit match sets over Go into
+/// Rin, the anchored fraction of R(Qo,Gk).
 ///
-///  * The anchor star — the one with the fewest matches — is used as-is: its
-///    center column stays inside B1, which is what makes the output "Rin".
+///  * The anchor unit — the one with the fewest matches — is used as-is: its
+///    root column stays inside B1, which is what makes the output "Rin".
 ///    An anchor with zero matches short-circuits to the empty result before
-///    any other star is touched.
-///  * Every other star logically contributes R(S,Gk) = ∪_m F_m(R(S,Go))
+///    any other unit is touched.
+///  * Every other unit logically contributes R(U,Gk) = ∪_m F_m(R(U,Go))
 ///    (lines 5-8), natural-joined on the shared query vertices (line 9),
 ///    discarding rows that map two query vertices to one data vertex (lines
 ///    10-12). The expansion is never materialized: the un-expanded rows are
 ///    hashed once and each current row probes under all k functions, so the
-///    k-fold intermediate copy never exists.
-///  * Overlapping stars are preferred (cheapest first, by the cost model
+///    k-fold intermediate copy never exists. The identity holds for any unit
+///    whose depth the outsourced graph's hop radius covers (DESIGN.md §14);
+///    the join itself reads only the column lists, never the unit's shape.
+///  * Overlapping units are preferred (cheapest first, by the cost model
 ///    when estimates are supplied); disconnected query components fall back
 ///    to a cross product.
 ///
-/// Input star matches must already be translated to Gk vertex ids and be
-/// duplicate-free per star (MatchStars guarantees both). Output columns are
+/// Input matches must already be translated to Gk vertex ids and be
+/// duplicate-free per unit (MatchUnits guarantees both). Output columns are
 /// canonical (query vertex 0..m-1); rows are then distinct by construction,
 /// sorted only when `options.sorted_output` asks for it, and identical at
 /// any thread count.
-Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
+Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& units,
                                  const Avt& avt, size_t num_query_vertices,
                                  const JoinOptions& options,
                                  JoinDiagnostics* diagnostics = nullptr);
-
-/// Serial convenience overload (`max_rows` as before; 0 = unlimited).
-Result<MatchSet> JoinStarMatches(const std::vector<StarMatches>& stars,
-                                 const Avt& avt, size_t num_query_vertices,
-                                 JoinDiagnostics* diagnostics = nullptr,
-                                 size_t max_rows = 0);
-
-/// The generalized-unit pipeline's name for the same join: UnitMatches is
-/// StarMatches, and the join never depended on the unit being a star — it
-/// derives shared/new columns from the column lists alone, and the
-/// completeness identity R(U,Gk) = ∪_m F_m(R(U,Go)) holds for any unit whose
-/// depth the outsourced graph's hop radius covers (see DESIGN.md §14).
-inline Result<MatchSet> JoinUnitMatches(
-    const std::vector<StarMatches>& units, const Avt& avt,
-    size_t num_query_vertices, const JoinOptions& options,
-    JoinDiagnostics* diagnostics = nullptr) {
-  return JoinStarMatches(units, avt, num_query_vertices, options,
-                         diagnostics);
-}
 
 /// Expands a Go-side match set to its Gk closure: union of F_m(matches) for
 /// m = 0..k-1, deduplicated. Shared by the eager join strategy and by the

@@ -39,7 +39,7 @@ struct TraceEvent {
 /// once full (soak runs keep the tail, which is what you want to look at).
 /// Appending takes a mutex — span close is orders of magnitude rarer than
 /// metric increments, so contention is a non-issue even with the parallel
-/// star matcher.
+/// unit matcher.
 class Tracer {
  public:
   /// The process-wide tracer the pipeline instrumentation records into.

@@ -18,10 +18,7 @@ namespace ppsm {
 /// ---------------------------------------------------------------------------
 /// The unified query API. One request/response pair serves every entry point
 /// of the system — PpsmSystem (end-to-end), QueryService (admission +
-/// serving), CloudServer and CloudCluster (evaluation) and the CLI — where
-/// there used to be three diverging signatures (PpsmSystem::Query,
-/// ::QueryBatch and CloudServer::AnswerQuery overloads). The legacy entry
-/// points survive one release as [[deprecated]] shims over this API.
+/// serving), CloudServer and CloudCluster (evaluation) and the CLI.
 /// ---------------------------------------------------------------------------
 
 /// Per-request evaluation knobs (the request-scoped complement of the

@@ -4,7 +4,7 @@
 //     lists that agree with the bitmaps, parallel build == serial build.
 //  2. Byte-identity: matching with the aux path on — under ANY intersection
 //     kernel — produces the identical rows, in the identical order, as the
-//     aux-off filter-while-walking reference, at every k, shard count and
+//     aux-off LeafCompatible-filtered lists, at every k, shard count and
 //     thread count. The aux path is a pure execution strategy.
 // Plus the abort-path fix: units skipped after a sibling truncates carry
 // real column layouts (correct MatchSet arity) and a distinct skipped mark.
@@ -21,7 +21,6 @@
 #include "graph/generators.h"
 #include "graph/query_extractor.h"
 #include "graph/query_shapes.h"
-#include "match/matcher_internal.h"
 #include "match/unit_matcher.h"
 #include "util/intersect.h"
 #include "util/random.h"

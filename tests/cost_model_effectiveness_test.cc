@@ -11,8 +11,8 @@
 #include "graph/generators.h"
 #include "graph/query_extractor.h"
 #include "kauto/outsourced_graph.h"
-#include "match/star_matcher.h"
 #include "match/statistics.h"
+#include "match/unit_matcher.h"
 #include "util/random.h"
 
 namespace ppsm {
@@ -76,7 +76,8 @@ TEST(CostModelEffectiveness, CandidateAwareRankingMatchesActualCounts) {
       estimate[v] = EstimateStarCardinalityCandidateAware(
           p.stats, p.go.graph, p.index, *qo, v);
       actual[v] = static_cast<double>(
-          MatchStar(p.go.graph, p.index, *qo, v).matches.NumMatches());
+          MatchUnit(p.go.graph, p.index, *qo, MakeStarUnit(*qo, v))
+              .matches.NumMatches());
     }
     // Kendall-style pair concordance on pairs with a clear actual gap.
     for (VertexId a = 0; a < qo->NumVertices(); ++a) {
@@ -117,7 +118,8 @@ TEST(CostModelEffectiveness, PaperExpr4AlsoRanksReasonably) {
     for (VertexId v = 0; v < qo->NumVertices(); ++v) {
       estimate[v] = EstimateStarCardinality(p.stats, *qo, v);
       actual[v] = static_cast<double>(
-          MatchStar(p.go.graph, p.index, *qo, v).matches.NumMatches());
+          MatchUnit(p.go.graph, p.index, *qo, MakeStarUnit(*qo, v))
+              .matches.NumMatches());
     }
     for (VertexId a = 0; a < qo->NumVertices(); ++a) {
       for (VertexId b = a + 1; b < qo->NumVertices(); ++b) {

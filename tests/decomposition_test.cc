@@ -24,6 +24,21 @@ GkStatistics UniformStats() {
   return stats;
 }
 
+/// Star-only decomposition (unit depth 1): the paper's weighted vertex cover.
+Result<UnitDecomposition> DecomposeStars(const AttributedGraph& q,
+                                         const GkStatistics& stats) {
+  return DecomposeQueryUnits(q, stats, /*max_depth=*/1);
+}
+
+/// Root of every selected unit, in plan order.
+std::vector<VertexId> Roots(const UnitDecomposition& decomposition) {
+  std::vector<VertexId> roots;
+  for (const QueryUnit& unit : decomposition.units) {
+    roots.push_back(unit.root());
+  }
+  return roots;
+}
+
 AttributedGraph PathQuery(size_t n) {
   GraphBuilder b;
   for (size_t i = 0; i < n; ++i) b.AddVertex(0, {});
@@ -42,13 +57,12 @@ TEST(Decomposition, CoversEveryEdge) {
   for (int trial = 0; trial < 10; ++trial) {
     auto extracted = ExtractQuery(*g, 3 + trial % 8, rng);
     ASSERT_TRUE(extracted.ok());
-    auto decomposition = DecomposeQuery(extracted->query, stats);
+    auto decomposition = DecomposeStars(extracted->query, stats);
     ASSERT_TRUE(decomposition.ok()) << decomposition.status();
     EXPECT_TRUE(
-        IsValidDecomposition(extracted->query, decomposition->centers));
-    EXPECT_GT(decomposition->centers.size(), 0u);
-    EXPECT_EQ(decomposition->centers.size(),
-              decomposition->estimates.size());
+        IsValidUnitDecomposition(extracted->query, decomposition->units));
+    EXPECT_GT(decomposition->units.size(), 0u);
+    EXPECT_EQ(decomposition->units.size(), decomposition->estimates.size());
   }
 }
 
@@ -58,13 +72,13 @@ TEST(Decomposition, PathCoverIsOptimalUnderTheCostModel) {
   // cardinality-minimal cover {1,3}.
   const GkStatistics stats = UniformStats();
   const AttributedGraph q = PathQuery(5);
-  auto decomposition = DecomposeQuery(q, stats);
+  auto decomposition = DecomposeStars(q, stats);
   ASSERT_TRUE(decomposition.ok());
-  EXPECT_TRUE(IsValidDecomposition(q, decomposition->centers));
+  EXPECT_TRUE(IsValidUnitDecomposition(q, decomposition->units));
   const double interior = EstimateStarCardinality(stats, q, 1);
   EXPECT_LE(decomposition->total_cost, 2.0 * interior + 1e-9)
       << "must not be worse than the {1,3} cover";
-  EXPECT_EQ(decomposition->centers, (std::vector<VertexId>{0, 2, 4}));
+  EXPECT_EQ(Roots(*decomposition), (std::vector<VertexId>{0, 2, 4}));
 }
 
 TEST(Decomposition, StarQueryPicksTheCenter) {
@@ -76,10 +90,9 @@ TEST(Decomposition, StarQueryPicksTheCenter) {
   for (int i = 0; i < 5; ++i) b.AddVertex(0, {0});
   for (int i = 1; i < 5; ++i) ASSERT_TRUE(b.AddEdge(0, i).ok());
   const AttributedGraph q = b.Build().value();
-  auto decomposition = DecomposeQuery(q, stats);
+  auto decomposition = DecomposeStars(q, stats);
   ASSERT_TRUE(decomposition.ok());
-  ASSERT_EQ(decomposition->centers.size(), 1u);
-  EXPECT_EQ(decomposition->centers[0], 0u);
+  EXPECT_EQ(Roots(*decomposition), (std::vector<VertexId>{0}));
 }
 
 TEST(Decomposition, TotalCostIsOptimalVsEnumeration) {
@@ -92,7 +105,7 @@ TEST(Decomposition, TotalCostIsOptimalVsEnumeration) {
     ASSERT_TRUE(extracted.ok());
     const AttributedGraph& q = extracted->query;
 
-    auto decomposition = DecomposeQuery(q, stats);
+    auto decomposition = DecomposeStars(q, stats);
     ASSERT_TRUE(decomposition.ok());
 
     // Reference: brute-force the same ILP.
@@ -117,11 +130,11 @@ TEST(Decomposition, IsolatedVerticesGetOwnStars) {
   b.AddVertex(0, {2});  // Isolated.
   ASSERT_TRUE(b.AddEdge(0, 1).ok());
   const AttributedGraph q = b.Build().value();
-  auto decomposition = DecomposeQuery(q, stats);
+  auto decomposition = DecomposeStars(q, stats);
   ASSERT_TRUE(decomposition.ok());
-  EXPECT_TRUE(IsValidDecomposition(q, decomposition->centers));
+  EXPECT_TRUE(IsValidUnitDecomposition(q, decomposition->units));
   bool isolated_covered = false;
-  for (const VertexId c : decomposition->centers) {
+  for (const VertexId c : Roots(*decomposition)) {
     if (c == 2) isolated_covered = true;
   }
   EXPECT_TRUE(isolated_covered);
@@ -131,7 +144,7 @@ TEST(Decomposition, RejectsEmptyQuery) {
   const GkStatistics stats = UniformStats();
   GraphBuilder b;
   const AttributedGraph q = b.Build().value();
-  EXPECT_FALSE(DecomposeQuery(q, stats).ok());
+  EXPECT_FALSE(DecomposeStars(q, stats).ok());
 }
 
 TEST(Decomposition, SelectiveLabelsShiftTheCover) {
@@ -144,47 +157,58 @@ TEST(Decomposition, SelectiveLabelsShiftTheCover) {
   b.AddVertex(0, {1});  // Common.
   ASSERT_TRUE(b.AddEdge(0, 1).ok());
   const AttributedGraph q = b.Build().value();
-  auto decomposition = DecomposeQuery(q, stats);
+  auto decomposition = DecomposeStars(q, stats);
   ASSERT_TRUE(decomposition.ok());
-  ASSERT_EQ(decomposition->centers.size(), 1u);
-  EXPECT_EQ(decomposition->centers[0], 0u);
+  EXPECT_EQ(Roots(*decomposition), (std::vector<VertexId>{0}));
 }
 
 TEST(IsValidDecomposition, DetectsBadCovers) {
   const AttributedGraph q = PathQuery(4);
-  EXPECT_TRUE(IsValidDecomposition(q, {0, 2}));
-  EXPECT_TRUE(IsValidDecomposition(q, {1, 3}));
-  EXPECT_FALSE(IsValidDecomposition(q, {0, 3}));  // Edge 1-2 uncovered.
-  EXPECT_FALSE(IsValidDecomposition(q, {9}));     // Out of range.
+  const auto stars = [&q](std::vector<VertexId> centers) {
+    std::vector<QueryUnit> units;
+    for (const VertexId c : centers) units.push_back(MakeStarUnit(q, c));
+    return units;
+  };
+  EXPECT_TRUE(IsValidUnitDecomposition(q, stars({0, 2})));
+  EXPECT_TRUE(IsValidUnitDecomposition(q, stars({1, 3})));
+  EXPECT_FALSE(IsValidUnitDecomposition(q, stars({0, 3})));  // 1-2 uncovered.
+  QueryUnit out_of_range;
+  out_of_range.vertices = {9};
+  out_of_range.parent = {0};
+  EXPECT_FALSE(IsValidUnitDecomposition(q, {out_of_range}));
 }
 
 TEST(DecomposeWithCosts, RejectsWrongSizeAndNonFiniteCosts) {
+  // Per-vertex star costs: the depth-1 candidates are one star per vertex.
   const AttributedGraph q = PathQuery(3);
+  const auto decompose = [&q](std::vector<double> costs) {
+    return DecomposeQueryUnitsWithCosts(q, EnumerateCandidateUnits(q, 1),
+                                        std::move(costs));
+  };
 
-  auto wrong_size = DecomposeQueryWithCosts(q, {1.0, 2.0});
+  auto wrong_size = decompose({1.0, 2.0});
   ASSERT_FALSE(wrong_size.ok());
   EXPECT_EQ(wrong_size.status().code(), StatusCode::kInvalidArgument);
 
-  auto negative = DecomposeQueryWithCosts(q, {1.0, -0.5, 1.0});
+  auto negative = decompose({1.0, -0.5, 1.0});
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
 
-  auto nan = DecomposeQueryWithCosts(
-      q, {1.0, std::numeric_limits<double>::quiet_NaN(), 1.0});
+  auto nan = decompose(
+      {1.0, std::numeric_limits<double>::quiet_NaN(), 1.0});
   ASSERT_FALSE(nan.ok());
   EXPECT_EQ(nan.status().code(), StatusCode::kInvalidArgument);
 
-  auto inf = DecomposeQueryWithCosts(
-      q, {std::numeric_limits<double>::infinity(), 1.0, 1.0});
+  auto inf = decompose(
+      {std::numeric_limits<double>::infinity(), 1.0, 1.0});
   ASSERT_FALSE(inf.ok());
   EXPECT_EQ(inf.status().code(), StatusCode::kInvalidArgument);
 
   // A well-formed vector still solves: the cheap middle vertex covers both
   // edges of the path.
-  auto solved = DecomposeQueryWithCosts(q, {5.0, 1.0, 5.0});
+  auto solved = decompose({5.0, 1.0, 5.0});
   ASSERT_TRUE(solved.ok()) << solved.status();
-  ASSERT_EQ(solved->centers.size(), 1u);
-  EXPECT_EQ(solved->centers[0], 1u);
+  EXPECT_EQ(Roots(*solved), (std::vector<VertexId>{1}));
 }
 
 TEST(UnitDecomposition, DepthOneDegeneratesToTheStarCover) {
@@ -195,17 +219,37 @@ TEST(UnitDecomposition, DepthOneDegeneratesToTheStarCover) {
   for (int trial = 0; trial < 10; ++trial) {
     auto extracted = ExtractQuery(*g, 3 + trial % 8, rng);
     ASSERT_TRUE(extracted.ok());
-    auto stars = DecomposeQuery(extracted->query, stats);
-    auto units = DecomposeQueryUnits(extracted->query, stats, 1);
-    ASSERT_TRUE(stars.ok());
+    const AttributedGraph& q = extracted->query;
+    auto units = DecomposeQueryUnits(q, stats, 1);
     ASSERT_TRUE(units.ok()) << units.status();
-    ASSERT_EQ(units->units.size(), stars->centers.size());
-    for (size_t i = 0; i < units->units.size(); ++i) {
-      EXPECT_EQ(units->units[i].root(), stars->centers[i]);
-      EXPECT_EQ(units->units[i].kind, UnitKind::kStar);
-      EXPECT_DOUBLE_EQ(units->estimates[i], stars->estimates[i]);
+
+    // Reference: the paper's per-vertex weighted vertex cover, solved by
+    // the same exact ILP.
+    CoverIlp model;
+    for (VertexId v = 0; v < q.NumVertices(); ++v) {
+      model.cost.push_back(EstimateStarCardinality(stats, q, v));
     }
-    EXPECT_DOUBLE_EQ(units->total_cost, stars->total_cost);
+    q.ForEachEdge([&model](VertexId u, VertexId v) {
+      model.constraints.push_back({u, v});
+    });
+    for (VertexId v = 0; v < q.NumVertices(); ++v) {
+      if (q.Degree(v) == 0) model.constraints.push_back({v});
+    }
+    auto cover = SolveCoverIlp(model);
+    ASSERT_TRUE(cover.ok());
+    std::vector<VertexId> centers;
+    double total_cost = 0.0;
+    for (VertexId v = 0; v < q.NumVertices(); ++v) {
+      if (!cover->selected[v]) continue;
+      centers.push_back(v);
+      total_cost += model.cost[v];
+    }
+    ASSERT_EQ(Roots(*units), centers);
+    for (size_t i = 0; i < units->units.size(); ++i) {
+      EXPECT_EQ(units->units[i].kind, UnitKind::kStar);
+      EXPECT_DOUBLE_EQ(units->estimates[i], model.cost[centers[i]]);
+    }
+    EXPECT_DOUBLE_EQ(units->total_cost, total_cost);
   }
 }
 

@@ -1,4 +1,4 @@
-// Pins the EpochMarks invariant documented in match/matcher_internal.h:
+// Pins the EpochMarks invariant documented in match/unit_matcher.h:
 // 0 is never an active epoch. Unmark writes the sentinel 0, so the epoch
 // counter must skip 0 both at startup (Begin pre-increments from 0) and at
 // the 2^32 wraparound (zero-fill the buffer AND restart at 1). Either half
@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <limits>
 
-#include "match/matcher_internal.h"
+#include "match/unit_matcher.h"
 
 namespace ppsm::matcher_internal {
 namespace {

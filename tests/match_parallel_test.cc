@@ -1,9 +1,9 @@
-// Parallel query hot path: thread-count invariance of star matching and the
+// Parallel query hot path: thread-count invariance of unit matching and the
 // automorphism-aware probe join, plus the join edge cases the probe rewrite
 // must preserve (hash-collision verification, cross products, overflow
 // accounting, zero-match anchors). Every test here also runs under TSan in
 // CI — the equivalence tests at 4/8 threads are the data-race canaries for
-// the chunked MatchStar/JoinStep paths.
+// the chunked MatchUnit/JoinStep paths.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +16,8 @@
 #include "kauto/outsourced_graph.h"
 #include "match/decomposition.h"
 #include "match/result_join.h"
-#include "match/star_matcher.h"
 #include "match/subgraph_matcher.h"
+#include "match/unit_matcher.h"
 #include "util/random.h"
 
 namespace ppsm {
@@ -67,17 +67,26 @@ CloudFixture MakeFixture(uint32_t k, double scale = 0.006, uint64_t seed = 1) {
   return f;
 }
 
-/// Star matching at `num_threads`, with the matches translated to Gk ids
+/// The star-only plan (the paper's §4.2.1 decomposition) of `qo`.
+std::vector<QueryUnit> PlanStars(const CloudFixture& f,
+                                 const AttributedGraph& qo) {
+  auto decomposition = DecomposeQueryUnits(qo, f.stats, /*max_depth=*/1);
+  EXPECT_TRUE(decomposition.ok()) << decomposition.status();
+  return decomposition.ok() ? decomposition->units
+                            : std::vector<QueryUnit>{};
+}
+
+/// Unit matching at `num_threads`, with the matches translated to Gk ids
 /// (the cloud does the same before joining).
-std::vector<StarMatches> MatchTranslated(const CloudFixture& f,
+std::vector<UnitMatches> MatchTranslated(const CloudFixture& f,
                                          const AttributedGraph& qo,
-                                         const std::vector<VertexId>& centers,
+                                         const std::vector<QueryUnit>& units,
                                          size_t num_threads) {
-  StarMatchOptions options;
+  UnitMatchOptions options;
   options.num_threads = num_threads;
-  std::vector<StarMatches> stars =
-      MatchStars(f.go.graph, f.index, qo, centers, options);
-  for (StarMatches& star : stars) {
+  std::vector<UnitMatches> stars =
+      MatchUnits(f.go.graph, f.index, qo, units, options);
+  for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
     std::vector<VertexId> row(star.matches.arity());
     for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
@@ -98,9 +107,9 @@ Avt IdentityAvt(uint32_t num_vertices) {
   return avt;
 }
 
-StarMatches MakeStar(std::vector<VertexId> columns,
+UnitMatches MakeStar(std::vector<VertexId> columns,
                      const std::vector<std::vector<VertexId>>& rows) {
-  StarMatches star;
+  UnitMatches star;
   star.center = columns[0];
   star.columns = std::move(columns);
   star.matches = MatchSet(star.columns.size());
@@ -116,14 +125,14 @@ TEST(MatchParallel, MatchStarsEquivalentAcrossThreadCounts) {
     ASSERT_TRUE(extracted.ok());
     auto qo = f.lct.AnonymizeGraph(extracted->query);
     ASSERT_TRUE(qo.ok());
-    auto decomposition = DecomposeQuery(*qo, f.stats);
-    ASSERT_TRUE(decomposition.ok());
+    const std::vector<QueryUnit> units = PlanStars(f, *qo);
+    ASSERT_FALSE(units.empty());
 
-    const std::vector<StarMatches> serial =
-        MatchTranslated(f, *qo, decomposition->centers, 1);
+    const std::vector<UnitMatches> serial =
+        MatchTranslated(f, *qo, units, 1);
     for (const size_t threads : {4u, 8u}) {
-      const std::vector<StarMatches> parallel =
-          MatchTranslated(f, *qo, decomposition->centers, threads);
+      const std::vector<UnitMatches> parallel =
+          MatchTranslated(f, *qo, units, threads);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t s = 0; s < serial.size(); ++s) {
         EXPECT_EQ(parallel[s].center, serial[s].center);
@@ -146,15 +155,15 @@ TEST(MatchParallel, JoinEquivalentAcrossThreadCounts) {
     ASSERT_TRUE(extracted.ok());
     auto qo = f.lct.AnonymizeGraph(extracted->query);
     ASSERT_TRUE(qo.ok());
-    auto decomposition = DecomposeQuery(*qo, f.stats);
-    ASSERT_TRUE(decomposition.ok());
-    const std::vector<StarMatches> stars =
-        MatchTranslated(f, *qo, decomposition->centers, 1);
+    const std::vector<QueryUnit> units = PlanStars(f, *qo);
+    ASSERT_FALSE(units.empty());
+    const std::vector<UnitMatches> stars =
+        MatchTranslated(f, *qo, units, 1);
 
     JoinOptions serial_options;
     serial_options.num_threads = 1;
     auto serial =
-        JoinStarMatches(stars, f.kag.avt, qo->NumVertices(), serial_options);
+        JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(), serial_options);
     ASSERT_TRUE(serial.ok()) << serial.status();
     if (serial->NumMatches() > 0) ++nonempty;
 
@@ -162,7 +171,7 @@ TEST(MatchParallel, JoinEquivalentAcrossThreadCounts) {
       JoinOptions options;
       options.num_threads = threads;
       auto parallel =
-          JoinStarMatches(stars, f.kag.avt, qo->NumVertices(), options);
+          JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(), options);
       ASSERT_TRUE(parallel.ok()) << parallel.status();
       EXPECT_TRUE(MatchSet::EquivalentUnordered(*parallel, *serial))
           << "trial " << trial << " at " << threads << " threads: got "
@@ -184,21 +193,21 @@ TEST(MatchParallel, ProbeJoinMatchesEagerExpansion) {
       ASSERT_TRUE(extracted.ok());
       auto qo = f.lct.AnonymizeGraph(extracted->query);
       ASSERT_TRUE(qo.ok());
-      auto decomposition = DecomposeQuery(*qo, f.stats);
-      ASSERT_TRUE(decomposition.ok());
-      const std::vector<StarMatches> stars =
-          MatchTranslated(f, *qo, decomposition->centers, 1);
+      const std::vector<QueryUnit> units = PlanStars(f, *qo);
+      ASSERT_FALSE(units.empty());
+      const std::vector<UnitMatches> stars =
+          MatchTranslated(f, *qo, units, 1);
 
       JoinOptions eager;
       eager.eager_expansion = true;
       JoinDiagnostics eager_diag;
-      auto eager_rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
+      auto eager_rin = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(),
                                        eager, &eager_diag);
       ASSERT_TRUE(eager_rin.ok()) << eager_rin.status();
 
       JoinOptions probe;
       JoinDiagnostics probe_diag;
-      auto probe_rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
+      auto probe_rin = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(),
                                        probe, &probe_diag);
       ASSERT_TRUE(probe_rin.ok()) << probe_rin.status();
 
@@ -224,14 +233,14 @@ TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
     ASSERT_TRUE(extracted.ok());
     auto qo = f.lct.AnonymizeGraph(extracted->query);
     ASSERT_TRUE(qo.ok());
-    auto decomposition = DecomposeQuery(*qo, f.stats);
-    ASSERT_TRUE(decomposition.ok());
-    const std::vector<StarMatches> stars =
-        MatchTranslated(f, *qo, decomposition->centers, 1);
+    const std::vector<QueryUnit> units = PlanStars(f, *qo);
+    ASSERT_FALSE(units.empty());
+    const std::vector<UnitMatches> stars =
+        MatchTranslated(f, *qo, units, 1);
 
     JoinOptions options;
     options.num_threads = 4;
-    auto rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(), options);
+    auto rin = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(), options);
     ASSERT_TRUE(rin.ok()) << rin.status();
     if (rin->NumMatches() == 0) continue;
     ++nonempty;
@@ -242,7 +251,7 @@ TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
         << "trial " << trial << " emitted duplicate rows";
 
     options.sorted_output = true;
-    auto sorted = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
+    auto sorted = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(),
                                   options);
     ASSERT_TRUE(sorted.ok()) << sorted.status();
     EXPECT_TRUE(*sorted == deduped) << "trial " << trial;
@@ -297,7 +306,7 @@ TEST(MatchParallel, JoinVerifiesRowsBehindEqualHashKeys) {
     const VertexId y = static_cast<VertexId>(rng.Below(domain));
     if (x != y) b_rows.push_back({x, y});
   }
-  const std::vector<StarMatches> stars = {MakeStar({0, 1}, a_rows),
+  const std::vector<UnitMatches> stars = {MakeStar({0, 1}, a_rows),
                                           MakeStar({1, 2}, b_rows)};
 
   MatchSet reference(3);
@@ -314,7 +323,7 @@ TEST(MatchParallel, JoinVerifiesRowsBehindEqualHashKeys) {
   for (const size_t threads : {1u, 4u}) {
     JoinOptions options;
     options.num_threads = threads;
-    auto joined = JoinStarMatches(stars, avt, 3, options);
+    auto joined = JoinUnitMatches(stars, avt, 3, options);
     ASSERT_TRUE(joined.ok()) << joined.status();
     EXPECT_TRUE(MatchSet::EquivalentUnordered(*joined, reference))
         << "at " << threads << " threads: got " << joined->NumMatches()
@@ -326,22 +335,22 @@ TEST(MatchParallel, DisconnectedStarsFallBackToCrossProduct) {
   // No shared query vertex between the stars: the join must take the
   // cross-product path (and still apply the injectivity filter).
   const Avt avt = IdentityAvt(20);
-  const std::vector<StarMatches> stars = {
+  const std::vector<UnitMatches> stars = {
       MakeStar({0, 1}, {{0, 1}, {2, 3}}),
       MakeStar({2, 3}, {{4, 5}, {6, 7}, {8, 9}})};
   JoinDiagnostics diagnostics;
   JoinOptions options;
-  auto joined = JoinStarMatches(stars, avt, 4, options, &diagnostics);
+  auto joined = JoinUnitMatches(stars, avt, 4, options, &diagnostics);
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->NumMatches(), 6u);  // 2 x 3, all value-disjoint.
   EXPECT_EQ(diagnostics.join_steps, 1u);
 
   // Overlapping values: injectivity must prune the colliding combination.
-  const std::vector<StarMatches> overlapping = {
+  const std::vector<UnitMatches> overlapping = {
       MakeStar({0, 1}, {{0, 1}, {2, 3}}),
       MakeStar({2, 3}, {{1, 5}, {6, 7}})};
   JoinDiagnostics diag2;
-  auto pruned = JoinStarMatches(overlapping, avt, 4, options, &diag2);
+  auto pruned = JoinUnitMatches(overlapping, avt, 4, options, &diag2);
   ASSERT_TRUE(pruned.ok());
   EXPECT_EQ(pruned->NumMatches(), 3u);  // (0,1)x(1,5) reuses vertex 1.
   EXPECT_EQ(diag2.injectivity_drops, 1u);
@@ -360,12 +369,12 @@ TEST(MatchParallel, OverflowStillRecordsPeakRows) {
   for (VertexId j = 0; j < 20; ++j) {
     big_rows.push_back({100 + 2 * j, 101 + 2 * j});
   }
-  const std::vector<StarMatches> stars = {MakeStar({0, 1}, anchor_rows),
+  const std::vector<UnitMatches> stars = {MakeStar({0, 1}, anchor_rows),
                                           MakeStar({2, 3}, big_rows)};
   JoinOptions options;
   options.max_rows = 50;  // Cross product is 200 rows; overflows.
   JoinDiagnostics diagnostics;
-  auto joined = JoinStarMatches(stars, avt, 4, options, &diagnostics);
+  auto joined = JoinUnitMatches(stars, avt, 4, options, &diagnostics);
   ASSERT_FALSE(joined.ok());
   EXPECT_TRUE(joined.status().code() == StatusCode::kResourceExhausted);
   EXPECT_EQ(diagnostics.peak_rows, options.max_rows);
@@ -376,14 +385,14 @@ TEST(MatchParallel, ZeroMatchAnchorSkipsAllJoinWork) {
   // An empty star empties the result; the join must return before hashing
   // (or, eagerly, expanding) any other star.
   const Avt avt = IdentityAvt(20);
-  const std::vector<StarMatches> stars = {
+  const std::vector<UnitMatches> stars = {
       MakeStar({0, 1}, {}),
       MakeStar({1, 2}, {{1, 2}, {3, 4}, {5, 6}})};
   for (const bool eager : {false, true}) {
     JoinOptions options;
     options.eager_expansion = eager;
     JoinDiagnostics diagnostics;
-    auto joined = JoinStarMatches(stars, avt, 3, options, &diagnostics);
+    auto joined = JoinUnitMatches(stars, avt, 3, options, &diagnostics);
     ASSERT_TRUE(joined.ok()) << joined.status();
     EXPECT_EQ(joined->NumMatches(), 0u);
     EXPECT_EQ(diagnostics.join_steps, 0u);
@@ -415,13 +424,14 @@ TEST(MatchParallel, StarRowCapIsExactAcrossThreadCounts) {
   ASSERT_TRUE(q.AddEdge(0, 2).ok());
   const AttributedGraph qo = q.Build().value();
 
-  const StarMatches uncapped = MatchStar(g, index, qo, 0);
+  const QueryUnit star = MakeStarUnit(qo, 0);
+  const UnitMatches uncapped = MatchUnit(g, index, qo, star);
   ASSERT_GT(uncapped.matches.NumMatches(), 500u);
   for (const size_t threads : {1u, 4u, 8u}) {
-    StarMatchOptions options;
+    UnitMatchOptions options;
     options.max_rows = 137;
     options.num_threads = threads;
-    const StarMatches capped = MatchStar(g, index, qo, 0, options);
+    const UnitMatches capped = MatchUnit(g, index, qo, star, options);
     EXPECT_EQ(capped.matches.NumMatches(), 137u) << threads << " threads";
     EXPECT_TRUE(capped.truncated);
   }

@@ -79,7 +79,7 @@ TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
   Fixture fx = MakeFixture(3);
   auto server = CloudServer::Host(fx.owner.upload_bytes());
   ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  QueryService service(&*server);
   FlightRecorder::Global().Clear();
 
   std::set<uint64_t> seen_ids;
@@ -138,7 +138,7 @@ TEST(QueryObs, QueryIdPropagatesIntoSpanArgs) {
   Fixture fx = MakeFixture(1);
   auto server = CloudServer::Host(fx.owner.upload_bytes());
   ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  QueryService service(&*server);
 
   Tracer::Global().Clear();
   auto answer = service.Execute(fx.requests[0]);
@@ -164,7 +164,7 @@ TEST(QueryObs, ExpiredDeadlineStillProducesACapture) {
   Fixture fx = MakeFixture(1);
   auto server = CloudServer::Host(fx.owner.upload_bytes());
   ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  QueryService service(&*server);
   FlightRecorder::Global().Clear();
 
   const auto past =

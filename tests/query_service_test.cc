@@ -81,7 +81,7 @@ TEST(QueryService, EightConcurrentQueriesMatchSerialByteForByte) {
   config.max_inflight = kThreads;
   auto server = CloudServer::Host(fx.owner.upload_bytes(), config);
   ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  QueryService service(&*server);
 
   std::vector<std::vector<uint8_t>> got(kThreads);
   std::vector<std::atomic<bool>> ok(kThreads);
@@ -161,7 +161,7 @@ TEST(QueryService, ExpiredDeadlineReturnsTypedStatus) {
   Fixture fx = MakeFixture(1);
   auto server = CloudServer::Host(fx.owner.upload_bytes());
   ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  QueryService service(&*server);
 
   const auto past =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
@@ -333,7 +333,7 @@ TEST(QueryService, ExpiredBudgetStampsQueuePhaseAndAccountsReplyBytes) {
   Fixture fx = MakeFixture(1);
   auto server = CloudServer::Host(fx.owner.upload_bytes());
   ASSERT_TRUE(server.ok());
-  QueryService service(static_cast<const QueryHandler*>(&*server));
+  QueryService service(&*server);
 
   FlightRecorder::Global().Clear();
   const auto past =

@@ -1,14 +1,14 @@
 // Tests for the production-hardening additions on top of the paper's
 // algorithms: the candidate-aware cardinality estimator and the row-cap
-// resource guards in star matching and the join.
+// resource guards in unit matching and the join.
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "match/decomposition.h"
 #include "match/result_join.h"
-#include "match/star_matcher.h"
 #include "match/statistics.h"
+#include "match/unit_matcher.h"
 
 namespace ppsm {
 namespace {
@@ -91,11 +91,11 @@ TEST(CandidateAwareEstimator, DecompositionAvoidsHubStars) {
   for (int i = 0; i < 4; ++i) q.AddVertex(0, {});
   for (int i = 1; i < 4; ++i) ASSERT_TRUE(q.AddEdge(0, i).ok());
   const AttributedGraph qo = q.Build().value();
-  auto decomposition = DecomposeQuery(qo, stats, g, index);
+  auto decomposition = DecomposeQueryUnits(qo, stats, g, index, 1);
   ASSERT_TRUE(decomposition.ok());
-  EXPECT_TRUE(IsValidDecomposition(qo, decomposition->centers));
-  for (const VertexId c : decomposition->centers) {
-    EXPECT_NE(c, 0u) << "rooted a star at the explosive hub";
+  EXPECT_TRUE(IsValidUnitDecomposition(qo, decomposition->units));
+  for (const QueryUnit& unit : decomposition->units) {
+    EXPECT_NE(unit.root(), 0u) << "rooted a star at the explosive hub";
   }
 }
 
@@ -106,10 +106,11 @@ TEST(StarMatcherGuard, TruncatesAtRowCap) {
   for (int i = 0; i < 3; ++i) q.AddVertex(0, {});
   for (int i = 1; i < 3; ++i) ASSERT_TRUE(q.AddEdge(0, i).ok());
   const AttributedGraph qo = q.Build().value();
-  const StarMatches bounded = MatchStar(g, index, qo, 0, /*max_rows=*/50);
+  const QueryUnit star = MakeStarUnit(qo, 0);
+  const UnitMatches bounded = MatchUnit(g, index, qo, star, /*max_rows=*/50);
   EXPECT_TRUE(bounded.truncated);
   EXPECT_EQ(bounded.matches.NumMatches(), 50u);
-  const StarMatches unbounded = MatchStar(g, index, qo, 0);
+  const UnitMatches unbounded = MatchUnit(g, index, qo, star);
   EXPECT_FALSE(unbounded.truncated);
   EXPECT_GT(unbounded.matches.NumMatches(), 50u);
 }
@@ -122,8 +123,9 @@ TEST(StarMatcherGuard, CapAboveResultSizeIsHarmless) {
   q.AddVertex(0, {});
   ASSERT_TRUE(q.AddEdge(0, 1).ok());
   const AttributedGraph qo = q.Build().value();
-  const StarMatches a = MatchStar(g, index, qo, 0);
-  const StarMatches b = MatchStar(g, index, qo, 0, 1u << 20);
+  const QueryUnit star = MakeStarUnit(qo, 0);
+  const UnitMatches a = MatchUnit(g, index, qo, star);
+  const UnitMatches b = MatchUnit(g, index, qo, star, 1u << 20);
   EXPECT_FALSE(b.truncated);
   EXPECT_TRUE(MatchSet::EquivalentUnordered(a.matches, b.matches));
 }
@@ -131,12 +133,12 @@ TEST(StarMatcherGuard, CapAboveResultSizeIsHarmless) {
 TEST(JoinGuard, RejectsTruncatedStars) {
   Avt avt(1, 4);
   for (uint32_t r = 0; r < 4; ++r) avt.Place(r, 0, r);
-  StarMatches star;
+  UnitMatches star;
   star.center = 0;
   star.columns = {0};
   star.matches = MatchSet(1);
   star.truncated = true;
-  const auto result = JoinStarMatches({star}, avt, 1);
+  const auto result = JoinUnitMatches({star}, avt, 1, JoinOptions{});
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
@@ -147,7 +149,7 @@ TEST(JoinGuard, RowCapStopsExplosiveJoin) {
   Avt avt(1, 100);
   for (uint32_t r = 0; r < 100; ++r) avt.Place(r, 0, r);
   auto make_star = [](VertexId column) {
-    StarMatches star;
+    UnitMatches star;
     star.center = column;
     star.columns = {column};
     star.matches = MatchSet(1);
@@ -156,13 +158,13 @@ TEST(JoinGuard, RowCapStopsExplosiveJoin) {
     }
     return star;
   };
-  const std::vector<StarMatches> stars{make_star(0), make_star(1)};
-  const auto capped =
-      JoinStarMatches(stars, avt, 2, /*diagnostics=*/nullptr,
-                      /*max_rows=*/100);
+  const std::vector<UnitMatches> stars{make_star(0), make_star(1)};
+  JoinOptions capped_options;
+  capped_options.max_rows = 100;
+  const auto capped = JoinUnitMatches(stars, avt, 2, capped_options);
   EXPECT_FALSE(capped.ok());
   EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
-  const auto uncapped = JoinStarMatches(stars, avt, 2);
+  const auto uncapped = JoinUnitMatches(stars, avt, 2, JoinOptions{});
   ASSERT_TRUE(uncapped.ok());
   EXPECT_EQ(uncapped->NumMatches(), 9900u);  // Injectivity drops the diagonal.
 }

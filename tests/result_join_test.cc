@@ -11,6 +11,7 @@
 #include "kauto/outsourced_graph.h"
 #include "match/decomposition.h"
 #include "match/subgraph_matcher.h"
+#include "match/unit_matcher.h"
 #include "util/random.h"
 
 namespace ppsm {
@@ -60,13 +61,16 @@ CloudFixture MakeFixture(uint32_t k, double scale = 0.006, uint64_t seed = 1) {
   return f;
 }
 
-/// Runs the optimized cloud path by hand and returns Rin (Gk ids).
-Result<MatchSet> ComputeRin(const CloudFixture& f, const AttributedGraph& qo) {
-  PPSM_ASSIGN_OR_RETURN(const StarDecomposition decomposition,
-                        DecomposeQuery(qo, f.stats));
-  std::vector<StarMatches> stars =
-      MatchStars(f.go.graph, f.index, qo, decomposition.centers);
-  for (StarMatches& star : stars) {
+/// Star-only plan (the paper's §4.2.1 decomposition) matched over Go, with
+/// the matches translated to Gk ids (the cloud does the same before
+/// joining).
+Result<std::vector<UnitMatches>> MatchStarPlan(const CloudFixture& f,
+                                               const AttributedGraph& qo) {
+  PPSM_ASSIGN_OR_RETURN(const UnitDecomposition decomposition,
+                        DecomposeQueryUnits(qo, f.stats, /*max_depth=*/1));
+  std::vector<UnitMatches> stars =
+      MatchUnits(f.go.graph, f.index, qo, decomposition.units);
+  for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
     std::vector<VertexId> row(star.matches.arity());
     for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
@@ -78,7 +82,14 @@ Result<MatchSet> ComputeRin(const CloudFixture& f, const AttributedGraph& qo) {
     }
     star.matches = std::move(translated);
   }
-  return JoinStarMatches(stars, f.kag.avt, qo.NumVertices());
+  return stars;
+}
+
+/// Runs the optimized cloud path by hand and returns Rin (Gk ids).
+Result<MatchSet> ComputeRin(const CloudFixture& f, const AttributedGraph& qo) {
+  PPSM_ASSIGN_OR_RETURN(const std::vector<UnitMatches> stars,
+                        MatchStarPlan(f, qo));
+  return JoinUnitMatches(stars, f.kag.avt, qo.NumVertices(), JoinOptions{});
 }
 
 TEST(ExpandByAutomorphisms, ClosesUnderTheGroup) {
@@ -182,7 +193,7 @@ TEST(ResultJoin, EmptyStarShortCircuits) {
 
 TEST(ResultJoin, RejectsEmptyStarList) {
   const CloudFixture f = MakeFixture(2);
-  EXPECT_FALSE(JoinStarMatches({}, f.kag.avt, 3).ok());
+  EXPECT_FALSE(JoinUnitMatches({}, f.kag.avt, 3, JoinOptions{}).ok());
 }
 
 TEST(ResultJoin, DiagnosticsPopulated) {
@@ -192,23 +203,12 @@ TEST(ResultJoin, DiagnosticsPopulated) {
   ASSERT_TRUE(extracted.ok());
   auto qo = f.lct.AnonymizeGraph(extracted->query);
   ASSERT_TRUE(qo.ok());
-  auto decomposition = DecomposeQuery(*qo, f.stats);
-  ASSERT_TRUE(decomposition.ok());
-  std::vector<StarMatches> stars =
-      MatchStars(f.go.graph, f.index, *qo, decomposition->centers);
-  for (StarMatches& star : stars) {
-    MatchSet translated(star.matches.arity());
-    std::vector<VertexId> row(star.matches.arity());
-    for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
-      const auto local = star.matches.Get(r);
-      for (size_t i = 0; i < local.size(); ++i) row[i] = f.go.ToGk(local[i]);
-      translated.Append(row);
-    }
-    star.matches = std::move(translated);
-  }
+  auto stars_or = MatchStarPlan(f, *qo);
+  ASSERT_TRUE(stars_or.ok());
+  const std::vector<UnitMatches>& stars = *stars_or;
   JoinDiagnostics diagnostics;
-  auto rin = JoinStarMatches(stars, f.kag.avt, qo->NumVertices(),
-                             &diagnostics);
+  auto rin = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(),
+                             JoinOptions{}, &diagnostics);
   ASSERT_TRUE(rin.ok());
   if (stars.size() > 1) {
     EXPECT_GE(diagnostics.peak_rows, rin->NumMatches());

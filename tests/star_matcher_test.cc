@@ -1,4 +1,4 @@
-#include "match/star_matcher.h"
+#include "match/unit_matcher.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@ namespace {
 
 /// Reference: extract the star rooted at `center` as a standalone query
 /// graph and run the generic matcher, then reorder columns to match the
-/// StarMatches column layout.
+/// UnitMatches column layout.
 MatchSet ReferenceStarMatches(const AttributedGraph& data,
                               const AttributedGraph& qo, VertexId center,
                               const std::vector<VertexId>& columns) {
@@ -49,7 +49,8 @@ TEST(StarMatcher, AgreesWithGenericMatcherOnRandomStars) {
     const AttributedGraph& qo = extracted->query;
     for (VertexId center = 0; center < qo.NumVertices(); ++center) {
       if (qo.Degree(center) == 0) continue;
-      const StarMatches star = MatchStar(*g, index, qo, center);
+      const UnitMatches star =
+          MatchUnit(*g, index, qo, MakeStarUnit(qo, center));
       const MatchSet reference =
           ReferenceStarMatches(*g, qo, center, star.columns);
       EXPECT_TRUE(MatchSet::EquivalentUnordered(star.matches, reference))
@@ -68,7 +69,7 @@ TEST(StarMatcher, ColumnsStartWithCenter) {
   auto extracted = ExtractQuery(*g, 3, rng);
   ASSERT_TRUE(extracted.ok());
   const AttributedGraph& qo = extracted->query;
-  const StarMatches star = MatchStar(*g, index, qo, 0);
+  const UnitMatches star = MatchUnit(*g, index, qo, MakeStarUnit(qo, 0));
   EXPECT_EQ(star.center, 0u);
   ASSERT_FALSE(star.columns.empty());
   EXPECT_EQ(star.columns[0], 0u);
@@ -85,7 +86,7 @@ TEST(StarMatcher, InjectiveWithinStar) {
   for (int i = 0; i < 4; ++i) q.AddVertex(0, {});
   for (int i = 1; i < 4; ++i) ASSERT_TRUE(q.AddEdge(0, i).ok());
   const AttributedGraph qo = q.Build().value();
-  const StarMatches star = MatchStar(*g, index, qo, 0);
+  const UnitMatches star = MatchUnit(*g, index, qo, MakeStarUnit(qo, 0));
   for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
     EXPECT_FALSE(MatchSet::HasDuplicateVertices(star.matches.Get(r)));
   }
@@ -101,7 +102,7 @@ TEST(StarMatcher, CentersRestrictedToIndexPrefix) {
   q.AddVertex(0, {});
   ASSERT_TRUE(q.AddEdge(0, 1).ok());
   const AttributedGraph qo = q.Build().value();
-  const StarMatches star = MatchStar(*g, index, qo, 0);
+  const UnitMatches star = MatchUnit(*g, index, qo, MakeStarUnit(qo, 0));
   EXPECT_GT(star.matches.NumMatches(), 0u);
   for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
     EXPECT_LT(star.matches.Get(r)[0], num_centers)
@@ -116,7 +117,7 @@ TEST(StarMatcher, SingleVertexStar) {
   GraphBuilder q;
   q.AddVertex(0, {0});
   const AttributedGraph qo = q.Build().value();
-  const StarMatches star = MatchStar(*g, index, qo, 0);
+  const UnitMatches star = MatchUnit(*g, index, qo, MakeStarUnit(qo, 0));
   size_t expected = 0;
   for (VertexId v = 0; v < g->NumVertices(); ++v) {
     if (g->HasLabel(v, 0)) ++expected;
@@ -132,8 +133,9 @@ TEST(StarMatcher, MatchStarsRunsAllCenters) {
   Rng rng(73);
   auto extracted = ExtractQuery(*g, 5, rng);
   ASSERT_TRUE(extracted.ok());
-  const std::vector<VertexId> centers{0, 1};
-  const auto all = MatchStars(*g, index, extracted->query, centers);
+  const AttributedGraph& qo = extracted->query;
+  const auto all = MatchUnits(*g, index, qo,
+                              {MakeStarUnit(qo, 0), MakeStarUnit(qo, 1)});
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].center, 0u);
   EXPECT_EQ(all[1].center, 1u);

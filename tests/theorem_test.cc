@@ -129,7 +129,7 @@ TEST(Theorem2, DecompositionIlpMatchesWeightedVertexCover) {
     auto extracted = ExtractQuery(*g, 6, rng);
     ASSERT_TRUE(extracted.ok());
     const AttributedGraph& q = extracted->query;
-    auto decomposition = DecomposeQuery(q, stats);
+    auto decomposition = DecomposeQueryUnits(q, stats, /*max_depth=*/1);
     ASSERT_TRUE(decomposition.ok());
 
     CoverIlp model;
