@@ -1,5 +1,8 @@
 #include "graph/query_shapes.h"
 
+#include <cstddef>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/ppsm_system.h"
@@ -10,15 +13,24 @@
 namespace ppsm {
 namespace {
 
+// gtest names each case after the raw bytes of its parameter, so the
+// padding between `shape` and `num_edges` is an explicit zeroed field:
+// left uninitialised it made the test names differ from build to build.
 struct ShapeCase {
+  ShapeCase(QueryShape s, size_t n) : shape(s), num_edges(n) {}
   QueryShape shape;
+  uint32_t padding = 0;
   size_t num_edges;
 };
+static_assert(sizeof(ShapeCase) ==
+                  sizeof(QueryShape) + sizeof(uint32_t) + sizeof(size_t),
+              "ShapeCase must have no uninitialised padding");
 
 class ShapedQueries : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(ShapedQueries, ExtractsAndMatches) {
-  const auto [shape, num_edges] = GetParam();
+  const QueryShape shape = GetParam().shape;
+  const size_t num_edges = GetParam().num_edges;
   const auto g = GenerateDataset(DbpediaLike(0.01));
   ASSERT_TRUE(g.ok());
   Rng rng(1234);
