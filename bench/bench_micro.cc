@@ -304,9 +304,9 @@ BENCHMARK(BM_GraphMemoryBytes);
 
 // --- Query hot-path benchmarks (bench_results/BENCH_join.json) ---
 // Star matching and the star join, isolated from the request/response
-// plumbing. The A/B axes: thread count (the ParallelFor chunking) and eager
-// k-fold expansion vs the automorphism-aware probe (the k-independent
-// memory claim — watch the indexed_rows counter).
+// plumbing. The join axes: privacy parameter k and thread count (the
+// ParallelFor chunking); the indexed_rows counter stays k-independent
+// because the probe join indexes un-expanded rows.
 
 struct JoinWorkload {
   AttributedGraph g;
@@ -539,15 +539,11 @@ BENCHMARK(BM_MatchUnitsShaped)
     ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-void JoinBench(benchmark::State& state, uint32_t k, bool eager,
-               size_t threads) {
-  JoinWorkload& w = JoinWorkload::Get(k);
+// Args: {k, threads}.
+void BM_JoinProbe(benchmark::State& state) {
+  JoinWorkload& w = JoinWorkload::Get(static_cast<uint32_t>(state.range(0)));
   JoinOptions options;
-  options.eager_expansion = eager;
-  // The seed pipeline always sorted Rin before returning; the shipped
-  // configuration skips that (rows are distinct by construction).
-  options.sorted_output = eager;
-  options.num_threads = threads;
+  options.num_threads = static_cast<size_t>(state.range(1));
   size_t indexed_rows = 0;
   size_t peak_rows = 0;
   for (auto _ : state) {
@@ -564,27 +560,10 @@ void JoinBench(benchmark::State& state, uint32_t k, bool eager,
     indexed_rows = diagnostics.indexed_rows;
     peak_rows = diagnostics.peak_rows;
   }
-  // The memory story: eager hash-indexes the k-fold expansion, the probe
-  // indexes each star once — indexed_rows is what the join materializes
-  // beyond its output.
+  // indexed_rows is what the join materializes beyond its output: each
+  // unit once, un-expanded.
   state.counters["indexed_rows"] = static_cast<double>(indexed_rows);
   state.counters["peak_rows"] = static_cast<double>(peak_rows);
-}
-
-// Args: {k, threads}. BM_JoinEager at threads=1 is the seed's join
-// (materialize the k-fold closure, serial probe); BM_JoinProbe at
-// threads=8 is the shipped configuration.
-void BM_JoinEager(benchmark::State& state) {
-  JoinBench(state, static_cast<uint32_t>(state.range(0)), /*eager=*/true,
-            static_cast<size_t>(state.range(1)));
-}
-BENCHMARK(BM_JoinEager)
-    ->ArgsProduct({{2, 4, 8}, {1, 8}})
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_JoinProbe(benchmark::State& state) {
-  JoinBench(state, static_cast<uint32_t>(state.range(0)), /*eager=*/false,
-            static_cast<size_t>(state.range(1)));
 }
 BENCHMARK(BM_JoinProbe)
     ->ArgsProduct({{2, 4, 8}, {1, 8}})

@@ -194,9 +194,7 @@ int Run() {
     }
 
     for (const uint32_t num_shards : kShardCounts) {
-      ClusterConfig config;
-      config.num_shards = num_shards;
-      auto cluster = CloudCluster::Host(upload, config);
+      auto cluster = CloudCluster::Host(upload, num_shards);
       if (!cluster.ok()) {
         std::fprintf(stderr, "cluster: %s\n",
                      cluster.status().ToString().c_str());

@@ -111,41 +111,11 @@ Status MakeDeadlineExceeded(const char* phase) {
 }
 }  // namespace
 
-ShardConfig ToShardConfig(const CloudConfig& config) {
-  ShardConfig shard;
-  shard.num_threads = config.num_threads;
-  shard.plan_cache_entries = config.plan_cache_entries;
-  shard.max_unit_depth = config.max_unit_depth;
-  shard.aux_graph = config.aux_graph;
-  shard.intersect_kernel = config.intersect_kernel;
-  return shard;
-}
-
-ClusterConfig ToClusterConfig(const CloudConfig& config) {
-  ClusterConfig cluster;
-  cluster.max_inflight = config.max_inflight;
-  cluster.query_deadline_ms = config.query_deadline_ms;
-  return cluster;
-}
-
-CloudConfig ToCloudConfig(const ShardConfig& shard,
-                          const ClusterConfig& cluster) {
-  CloudConfig config;
-  config.num_threads = shard.num_threads;
-  config.plan_cache_entries = shard.plan_cache_entries;
-  config.max_inflight = cluster.max_inflight;
-  config.query_deadline_ms = cluster.query_deadline_ms;
-  config.max_unit_depth = shard.max_unit_depth;
-  config.aux_graph = shard.aux_graph;
-  config.intersect_kernel = shard.intersect_kernel;
-  return config;
-}
-
 /// The decomposition memo: ILP plans keyed by canonical Qo signature. The
-/// only mutable state of a hosted server, guarded by `mu` so Serve
+/// only mutable state of a hosted driver, guarded by `mu` so Serve
 /// stays const and thread-safe. Heap-allocated because std::mutex pins the
-/// address and CloudServer is moved out of Host().
-struct CloudServer::PlanCache {
+/// address and hosts are moved out of Host().
+struct CloudQueryDriver::PlanCache {
   explicit PlanCache(size_t capacity) : plans(capacity) {}
 
   std::mutex mu;
@@ -154,109 +124,21 @@ struct CloudServer::PlanCache {
   uint64_t misses = 0;
 };
 
-CloudServer::~CloudServer() = default;
-CloudServer::CloudServer(CloudServer&&) noexcept = default;
-CloudServer& CloudServer::operator=(CloudServer&&) noexcept = default;
-
-Result<CloudServer> CloudServer::Host(std::span<const uint8_t> package_bytes,
-                                      const CloudConfig& config) {
-  PPSM_ASSIGN_OR_RETURN(UploadPackage package,
-                        UploadPackage::Deserialize(package_bytes));
-  return Host(std::move(package), config);
+CloudQueryDriver::CloudQueryDriver(const CloudConfig& config)
+    : config_(config) {
+  if (config_.num_threads == 0) config_.num_threads = 1;
+  if (config_.max_inflight == 0) config_.max_inflight = 1;
+  if (config_.plan_cache_entries > 0) {
+    plan_cache_ = std::make_unique<PlanCache>(config_.plan_cache_entries);
+  }
 }
 
-Result<CloudServer> CloudServer::Host(UploadPackage package,
-                                      const CloudConfig& config) {
-  return HostImpl(std::move(package), config, /*slice=*/false);
-}
+CloudQueryDriver::~CloudQueryDriver() = default;
+CloudQueryDriver::CloudQueryDriver(CloudQueryDriver&&) noexcept = default;
+CloudQueryDriver& CloudQueryDriver::operator=(CloudQueryDriver&&) noexcept =
+    default;
 
-Result<CloudServer> CloudServer::HostSlice(UploadPackage package,
-                                           const ShardConfig& config) {
-  if (package.IsBaseline()) {
-    return Status::InvalidArgument("shard slices require the optimized shape");
-  }
-  CloudConfig flat;
-  flat.num_threads = config.num_threads;
-  flat.plan_cache_entries = config.plan_cache_entries;
-  flat.max_unit_depth = config.max_unit_depth;
-  flat.aux_graph = config.aux_graph;
-  flat.intersect_kernel = config.intersect_kernel;
-  return HostImpl(std::move(package), flat, /*slice=*/true);
-}
-
-Result<CloudServer> CloudServer::HostImpl(UploadPackage package,
-                                          const CloudConfig& config,
-                                          bool slice) {
-  CloudServer server;
-  server.config_ = config;
-  if (server.config_.num_threads == 0) server.config_.num_threads = 1;
-  if (server.config_.max_inflight == 0) server.config_.max_inflight = 1;
-  if (config.plan_cache_entries > 0) {
-    server.plan_cache_ =
-        std::make_unique<PlanCache>(config.plan_cache_entries);
-  }
-  const size_t num_types = package.num_types;
-  const size_t num_groups = package.type_of_group.size();
-
-  size_t num_centers = 0;
-  if (package.IsBaseline()) {
-    server.baseline_ = true;
-    server.data_ = std::move(*package.full_gk);
-    num_centers = server.data_.NumVertices();
-    server.to_gk_.resize(num_centers);
-    std::iota(server.to_gk_.begin(), server.to_gk_.end(), 0);
-    // Identity table: k = 1 makes every automorphic function the identity,
-    // so the join below degenerates to a plain natural join over Gk.
-    server.avt_ = Avt(1, static_cast<uint32_t>(num_centers));
-    for (uint32_t v = 0; v < num_centers; ++v) server.avt_.Place(v, 0, v);
-    server.stats_ = ComputeGraphStatistics(server.data_, package.k, num_types,
-                                           std::move(package.type_of_group));
-  } else {
-    if (!package.go.has_value() || !package.avt.has_value()) {
-      return Status::InvalidArgument("optimized upload lacks Go or AVT");
-    }
-    if (package.avt->k() != package.k) {
-      return Status::InvalidArgument("AVT k disagrees with package k");
-    }
-    // A shard slice hosts only its part of B1, so its prefix is smaller
-    // than the AVT; the full package must cover every AVT row exactly.
-    if (slice ? package.go->num_b1 > package.avt->num_rows()
-              : package.go->num_b1 != package.avt->num_rows()) {
-      return Status::InvalidArgument("Go block size disagrees with AVT rows");
-    }
-    for (const VertexId gk_id : package.go->to_gk) {
-      if (!package.avt->Contains(gk_id)) {
-        return Status::InvalidArgument("Go references vertex outside AVT");
-      }
-    }
-    server.stats_ = ComputeGkStatistics(*package.go, num_types,
-                                        std::move(package.type_of_group));
-    server.hops_ = package.go->hops;
-    num_centers = package.go->num_b1;
-    server.to_gk_ = std::move(package.go->to_gk);
-    server.data_ = std::move(package.go->graph);
-    server.avt_ = std::move(*package.avt);
-  }
-
-  WallTimer timer;
-  {
-    PPSM_TRACE_SPAN_CAT("cloud.index_build", "setup");
-    PPSM_ASSIGN_OR_RETURN(
-        server.index_,
-        CloudIndex::Build(server.data_, num_centers, num_types, num_groups,
-                          server.config_.num_threads));
-  }
-  server.index_build_ms_ = timer.ElapsedMillis();
-  const CloudMetrics& metrics = CloudMetrics::Get();
-  metrics.index_memory_bytes.Set(
-      static_cast<double>(server.index_.MemoryBytes()));
-  metrics.index_build_ms.Set(server.index_build_ms_);
-  metrics.hosted_edges.Set(static_cast<double>(server.data_.NumEdges()));
-  metrics.plan_cache_entries.Set(0.0);
-  return server;
-}
-
-PlanCacheStats CloudServer::plan_cache_stats() const {
+PlanCacheStats CloudQueryDriver::plan_cache_stats() const {
   PlanCacheStats stats;
   if (plan_cache_ == nullptr) return stats;
   std::lock_guard<std::mutex> lock(plan_cache_->mu);
@@ -267,8 +149,8 @@ PlanCacheStats CloudServer::plan_cache_stats() const {
   return stats;
 }
 
-Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
-                                      const QueryContext& ctx) const {
+Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
+                                           const QueryContext& ctx) const {
   // Per-query stats, filled as the phases run and published to ctx.stats on
   // EVERY return path — failure included — via this scope guard. The
   // Result<WireAnswer> cannot carry stats on an error, and the failed queries
@@ -311,9 +193,10 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
   // units — stars always, paths/trees up to the depth the hosted radius
   // supports — candidate-aware so hub-rooted units with astronomic match
   // sets are avoided. At depth 1 this is the paper's §4.2.1 star
-  // decomposition, plan for plan. The ILP is pure in (Qo, hosted index,
-  // depth cap — fixed per server), so repeated workload shapes hit the plan
-  // cache and skip the solver entirely.
+  // decomposition, plan for plan. The ILP is pure in (Qo, root candidates,
+  // depth cap — fixed per host), so repeated workload shapes hit the plan
+  // cache and skip the solver entirely. The host's root candidates are the
+  // same lists on a server and on any cluster, hence the same plan.
   WallTimer phase_timer;
   std::optional<UnitDecomposition> cached;
   std::string signature;
@@ -335,7 +218,7 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
   } else {
     Result<UnitDecomposition> decomposition_or = [&] {
       PPSM_TRACE_SPAN_CAT("cloud.decompose", "query");
-      return DecomposeQueryUnits(qo, stats_, data_, index_,
+      return DecomposeQueryUnits(qo, stats_, RootCandidateDegrees(qo),
                                  EffectiveUnitDepth());
     }();
     PPSM_ASSIGN_OR_RETURN(decomposition, std::move(decomposition_or));
@@ -355,33 +238,31 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
     return timeout("after decomposition");
   }
 
-  // Phase 2: unit matching over the hosted graph (Algorithm 1, generalized).
-  // MatchUnits spreads the units across the pool workers — stars are
-  // depth-1 units of the same enumerator — and each candidate-root loop is
-  // additionally chunked, all bounded by the row cap
-  // so pathological queries fail with ResourceExhausted instead of
+  // Phase 2: unit matching (Algorithm 1, generalized), bounded by the row
+  // cap so pathological queries fail with ResourceExhausted instead of
   // exhausting the machine. An expired deadline cancels the remaining units
   // and candidate chunks, so the query stops within one chunk of expiry.
   phase_timer.Restart();
-  UnitMatchOptions star_options;
-  star_options.max_rows = kMaxRows;
-  star_options.num_threads = config_.num_threads;
-  star_options.use_aux_graph = config_.aux_graph;
-  star_options.intersect_kernel = config_.intersect_kernel;
+  UnitMatchOptions unit_options;
+  unit_options.max_rows = kMaxRows;
+  unit_options.num_threads = config_.num_threads;
+  unit_options.use_aux_graph = config_.aux_graph;
+  unit_options.intersect_kernel = config_.intersect_kernel;
   MatchPhaseStats phase_stats;
-  star_options.phase_stats = &phase_stats;
+  unit_options.phase_stats = &phase_stats;
   if (has_deadline) {
-    star_options.cancelled = [deadline] {
+    unit_options.cancelled = [deadline] {
       return SteadyClock::now() >= deadline;
     };
   }
-  std::vector<UnitMatches> stars = [&] {
+  Result<std::vector<UnitMatches>> stars_or = [&] {
     TraceSpan span(Tracer::Global(), "cloud.star_match", "query");
     span.AddArg("query_id", stats.query_id);
     span.AddArg("num_stars", static_cast<uint64_t>(
                                  decomposition.units.size()));
-    return MatchUnits(data_, index_, qo, decomposition.units, star_options);
+    return MatchUnitRows(qo, decomposition.units, unit_options, &stats);
   }();
+  PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> stars, std::move(stars_or));
   // Per-unit profiles (the cost-model calibration inputs) are filled before
   // any early return below so even a timed-out or truncated query reports
   // what its units did.
@@ -420,6 +301,7 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
   // Translate to Gk ids so the join can apply the automorphic functions.
   for (UnitMatches& star : stars) {
     MatchSet translated(star.matches.arity());
+    translated.ReserveAdditional(star.matches.NumMatches());
     std::vector<VertexId> row(star.matches.arity());
     for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
       const auto local = star.matches.Get(r);
@@ -493,6 +375,102 @@ Result<WireAnswer> CloudServer::Serve(std::span<const uint8_t> qo_bytes,
   query_span.AddArg("total_ms", stats.total_ms);
   answer.stats = stats;
   return answer;
+}
+
+Result<CloudServer> CloudServer::Host(std::span<const uint8_t> package_bytes,
+                                      const CloudConfig& config) {
+  PPSM_ASSIGN_OR_RETURN(UploadPackage package,
+                        UploadPackage::Deserialize(package_bytes));
+  return Host(std::move(package), config);
+}
+
+Result<CloudServer> CloudServer::Host(UploadPackage package,
+                                      const CloudConfig& config) {
+  return HostImpl(std::move(package), config, /*slice=*/false);
+}
+
+Result<CloudServer> CloudServer::HostSlice(UploadPackage package,
+                                           const CloudConfig& config) {
+  if (package.IsBaseline()) {
+    return Status::InvalidArgument("shard slices require the optimized shape");
+  }
+  return HostImpl(std::move(package), config, /*slice=*/true);
+}
+
+Result<CloudServer> CloudServer::HostImpl(UploadPackage package,
+                                          const CloudConfig& config,
+                                          bool slice) {
+  CloudServer server(config);
+  const size_t num_types = package.num_types;
+  const size_t num_groups = package.type_of_group.size();
+
+  size_t num_centers = 0;
+  if (package.IsBaseline()) {
+    server.baseline_ = true;
+    server.data_ = std::move(*package.full_gk);
+    num_centers = server.data_.NumVertices();
+    server.to_gk_.resize(num_centers);
+    std::iota(server.to_gk_.begin(), server.to_gk_.end(), 0);
+    // Identity table: k = 1 makes every automorphic function the identity,
+    // so the join below degenerates to a plain natural join over Gk.
+    server.avt_ = Avt(1, static_cast<uint32_t>(num_centers));
+    for (uint32_t v = 0; v < num_centers; ++v) server.avt_.Place(v, 0, v);
+    server.stats_ = ComputeGraphStatistics(server.data_, package.k, num_types,
+                                           std::move(package.type_of_group));
+  } else {
+    if (!package.go.has_value() || !package.avt.has_value()) {
+      return Status::InvalidArgument("optimized upload lacks Go or AVT");
+    }
+    if (package.avt->k() != package.k) {
+      return Status::InvalidArgument("AVT k disagrees with package k");
+    }
+    // A shard slice hosts only its part of B1, so its prefix is smaller
+    // than the AVT; the full package must cover every AVT row exactly.
+    if (slice ? package.go->num_b1 > package.avt->num_rows()
+              : package.go->num_b1 != package.avt->num_rows()) {
+      return Status::InvalidArgument("Go block size disagrees with AVT rows");
+    }
+    for (const VertexId gk_id : package.go->to_gk) {
+      if (!package.avt->Contains(gk_id)) {
+        return Status::InvalidArgument("Go references vertex outside AVT");
+      }
+    }
+    server.stats_ = ComputeGkStatistics(*package.go, num_types,
+                                        std::move(package.type_of_group));
+    server.hops_ = package.go->hops;
+    num_centers = package.go->num_b1;
+    server.to_gk_ = std::move(package.go->to_gk);
+    server.data_ = std::move(package.go->graph);
+    server.avt_ = std::move(*package.avt);
+  }
+
+  WallTimer timer;
+  {
+    PPSM_TRACE_SPAN_CAT("cloud.index_build", "setup");
+    PPSM_ASSIGN_OR_RETURN(
+        server.index_,
+        CloudIndex::Build(server.data_, num_centers, num_types, num_groups,
+                          server.config_.num_threads));
+  }
+  server.index_build_ms_ = timer.ElapsedMillis();
+  const CloudMetrics& metrics = CloudMetrics::Get();
+  metrics.index_memory_bytes.Set(
+      static_cast<double>(server.index_.MemoryBytes()));
+  metrics.index_build_ms.Set(server.index_build_ms_);
+  metrics.hosted_edges.Set(static_cast<double>(server.data_.NumEdges()));
+  metrics.plan_cache_entries.Set(0.0);
+  return server;
+}
+
+RootDegrees CloudServer::RootCandidateDegrees(
+    const AttributedGraph& qo) const {
+  return ShortlistRootDegrees(qo, data_, index_);
+}
+
+Result<std::vector<UnitMatches>> CloudServer::MatchUnitRows(
+    const AttributedGraph& qo, const std::vector<QueryUnit>& units,
+    const UnitMatchOptions& options, CloudQueryStats* /*stats*/) const {
+  return MatchUnits(data_, index_, qo, units, options);
 }
 
 }  // namespace ppsm

@@ -1,39 +1,20 @@
 #include "cloud/cluster.h"
 
 #include <algorithm>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "cloud/shard_exchange.h"
-#include "match/decomposition.h"
-#include "match/result_join.h"
-#include "match/unit_matcher.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/lru_cache.h"
 #include "util/timer.h"
 
 namespace ppsm {
 
 namespace {
 
-/// Per-phase intermediate-row budget, same value as the unsharded server's
-/// (cloud_server.cc kMaxRows). Each shard enforces it locally during star
-/// matching; the coordinator re-checks the merged totals so the sharded
-/// refusal boundary coincides with the unsharded one: a star that would
-/// truncate on one server either truncates on some shard or overflows the
-/// merged stream here.
-constexpr size_t kMaxRows = 2'000'000;
-
-using SteadyClock = std::chrono::steady_clock;
-
 struct ClusterMetrics {
-  MetricsRegistry::Counter queries;
   MetricsRegistry::Counter exchanged_bytes;
-  MetricsRegistry::Counter deadline_exceeded;
   MetricsRegistry::Histogram exchange_ms;
   MetricsRegistry::Histogram shard_rows;
   MetricsRegistry::Gauge shards;
@@ -42,14 +23,9 @@ struct ClusterMetrics {
     static const ClusterMetrics m = [] {
       MetricsRegistry& r = MetricsRegistry::Global();
       ClusterMetrics metrics;
-      metrics.queries = r.counter("ppsm_cluster_queries_total",
-                                  "Queries answered by a sharded cluster");
       metrics.exchanged_bytes =
           r.counter("ppsm_cluster_exchanged_bytes_total",
                     "Star-row bytes shipped shard -> coordinator");
-      metrics.deadline_exceeded =
-          r.counter("ppsm_cluster_deadline_exceeded_total",
-                    "Cluster queries abandoned at their deadline");
       metrics.exchange_ms =
           r.histogram("ppsm_cluster_exchange_ms", DefaultLatencyBucketsMs(),
                       "Per-shard exchange transfer time");
@@ -63,12 +39,6 @@ struct ClusterMetrics {
     return m;
   }
 };
-
-Status MakeDeadlineExceeded(const char* phase) {
-  ClusterMetrics::Get().deadline_exceeded.Increment();
-  return Status::DeadlineExceeded(std::string("query deadline exceeded (") +
-                                  phase + ")");
-}
 
 }  // namespace
 
@@ -207,43 +177,28 @@ Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
   return plan;
 }
 
-/// Coordinator-side plan memo, same shape as CloudServer::PlanCache.
-struct CloudCluster::PlanCache {
-  explicit PlanCache(size_t capacity) : plans(capacity) {}
-
-  std::mutex mu;
-  LruCache<std::string, UnitDecomposition> plans;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
-
-CloudCluster::~CloudCluster() = default;
-CloudCluster::CloudCluster(CloudCluster&&) noexcept = default;
-CloudCluster& CloudCluster::operator=(CloudCluster&&) noexcept = default;
-
 Result<CloudCluster> CloudCluster::Host(
-    std::span<const uint8_t> package_bytes, const ClusterConfig& config,
-    const ShardConfig& shard_config, const ChannelConfig& channel_config) {
+    std::span<const uint8_t> package_bytes, uint32_t num_shards,
+    const CloudConfig& config, const ChannelConfig& channel_config) {
   PPSM_ASSIGN_OR_RETURN(UploadPackage package,
                         UploadPackage::Deserialize(package_bytes));
-  return Host(std::move(package), config, shard_config, channel_config);
+  return Host(std::move(package), num_shards, config, channel_config);
 }
 
 Result<CloudCluster> CloudCluster::Host(UploadPackage package,
-                                        const ClusterConfig& config,
-                                        const ShardConfig& shard_config,
+                                        uint32_t num_shards,
+                                        const CloudConfig& config,
                                         const ChannelConfig& channel_config) {
-  const uint32_t num_shards = std::max<uint32_t>(config.num_shards, 1);
   PPSM_ASSIGN_OR_RETURN(
       ShardingPlan plan,
-      BuildShardUploads(package, num_shards, config.partition_seed));
-  return HostShards(std::move(plan.shards), config, shard_config,
-                    channel_config);
+      BuildShardUploads(package, std::max<uint32_t>(num_shards, 1),
+                        kShardPartitionSeed));
+  return HostShards(std::move(plan.shards), config, channel_config);
 }
 
 Result<CloudCluster> CloudCluster::HostShards(
-    std::vector<ShardUpload> shard_uploads, const ClusterConfig& config,
-    const ShardConfig& shard_config, const ChannelConfig& channel_config) {
+    std::vector<ShardUpload> shard_uploads, const CloudConfig& config,
+    const ChannelConfig& channel_config) {
   if (shard_uploads.empty()) {
     return Status::InvalidArgument("cluster needs at least one shard");
   }
@@ -268,19 +223,11 @@ Result<CloudCluster> CloudCluster::HostShards(
     }
   }
 
-  CloudCluster cluster;
-  cluster.config_ = config;
-  cluster.shard_config_ = shard_config;
-  cluster.config_.num_shards = num_shards;
-  if (cluster.config_.max_inflight == 0) cluster.config_.max_inflight = 1;
+  CloudCluster cluster(config);
   cluster.global_vertices_ = shard_uploads[0].global_vertices;
   cluster.global_b1_ = shard_uploads[0].global_b1;
   cluster.avt_ = *shard_uploads[0].package.avt;
   cluster.stats_ = shard_uploads[0].stats;
-  if (shard_config.plan_cache_entries > 0) {
-    cluster.plan_cache_ =
-        std::make_unique<PlanCache>(shard_config.plan_cache_entries);
-  }
 
   // Reassemble the global id maps from the slices, validating that halo
   // overlaps agree and that ownership covers every B1 vertex exactly once.
@@ -332,22 +279,12 @@ Result<CloudCluster> CloudCluster::HostShards(
     cluster.channels_.push_back(std::move(channel));
     PPSM_ASSIGN_OR_RETURN(
         CloudServer server,
-        CloudServer::HostSlice(std::move(upload.package), shard_config));
+        CloudServer::HostSlice(std::move(upload.package), config));
     cluster.shards_.push_back(std::move(server));
   }
+  cluster.hops_ = cluster.shards_[0].hops();
   ClusterMetrics::Get().shards.Set(static_cast<double>(num_shards));
   return cluster;
-}
-
-PlanCacheStats CloudCluster::plan_cache_stats() const {
-  PlanCacheStats stats;
-  if (plan_cache_ == nullptr) return stats;
-  std::lock_guard<std::mutex> lock(plan_cache_->mu);
-  stats.hits = plan_cache_->hits;
-  stats.misses = plan_cache_->misses;
-  stats.entries = plan_cache_->plans.size();
-  stats.capacity = plan_cache_->plans.capacity();
-  return stats;
 }
 
 size_t CloudCluster::ExchangedBytes() const {
@@ -358,186 +295,88 @@ size_t CloudCluster::ExchangedBytes() const {
   return total;
 }
 
-Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
-                                       const QueryContext& ctx) const {
-  CloudQueryStats stats;
-  stats.query_id =
-      ctx.query_id != 0 ? ctx.query_id : FlightRecorder::NextQueryId();
-  stats.queue_wait_ms = ctx.queue_wait_ms;
-  struct StatsPublisher {
-    CloudQueryStats* from;
-    CloudQueryStats* to;
-    ~StatsPublisher() {
-      if (to != nullptr) *to = *from;
+RootDegrees CloudCluster::RootCandidateDegrees(
+    const AttributedGraph& qo) const {
+  // Each shard shortlists its owned root candidates (their slice verdicts
+  // equal the global ones — an owned vertex's adjacency is complete in its
+  // slice); the disjoint lists merge into ascending global order, which is
+  // the unsharded shortlist, so the estimator reproduces the unsharded cost
+  // sums bit for bit.
+  RootDegrees degrees(qo.NumVertices());
+  std::vector<VertexId> merged;
+  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
+    merged.clear();
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      for (const VertexId l : shards_[s].index().CandidateCenters(qo, v)) {
+        if (owned_[s][l] != 0) merged.push_back(to_global_[s][l]);
+      }
     }
-  } publisher{&stats, ctx.stats};
-
-  WallTimer total_timer;
-  const SteadyClock::time_point deadline = ctx.deadline;
-  const bool has_deadline = deadline != SteadyClock::time_point::max();
-  const auto timeout = [&](const char* phase) {
-    stats.timed_out_phase = phase;
-    stats.total_ms = total_timer.ElapsedMillis();
-    return MakeDeadlineExceeded(phase);
-  };
-  if (has_deadline && SteadyClock::now() >= deadline) {
-    return timeout("on admission");
+    std::sort(merged.begin(), merged.end());
+    degrees[v].reserve(merged.size());
+    for (const VertexId g : merged) degrees[v].push_back(go_degree_[g]);
   }
-  PPSM_ASSIGN_OR_RETURN(const AttributedGraph qo,
-                        DeserializeQueryRequest(qo_bytes));
-  if (qo.NumVertices() == 0) {
-    return Status::InvalidArgument("empty query");
-  }
+  return degrees;
+}
 
-  WireAnswer answer;
-  TraceSpan query_span(Tracer::Global(), "cluster.answer_query", "query");
-  query_span.AddArg("query_id", stats.query_id);
-  query_span.AddArg("num_shards", static_cast<uint64_t>(shards_.size()));
+Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
+    const AttributedGraph& qo, const std::vector<QueryUnit>& units,
+    const UnitMatchOptions& options, CloudQueryStats* stats) const {
   const ClusterMetrics& metrics = ClusterMetrics::Get();
-
-  // Phase 1: GLOBAL decomposition on the coordinator, over generalized
-  // units (stars always; paths/trees up to the hosted hop radius). Each
-  // shard shortlists its owned root candidates (their slice verdicts equal
-  // the global ones — an owned vertex's adjacency is complete in its
-  // slice); the coordinator merges the disjoint lists into ascending global
-  // order and evaluates the candidate-aware estimator itself, reproducing
-  // the unsharded cost sums bit for bit. All shards then match the SAME
-  // units.
-  WallTimer phase_timer;
-  std::optional<UnitDecomposition> cached;
-  std::string signature;
-  if (plan_cache_ != nullptr) {
-    signature = QoSignature(qo);
-    std::lock_guard<std::mutex> lock(plan_cache_->mu);
-    cached = plan_cache_->plans.Get(signature);
-    if (cached.has_value()) {
-      ++plan_cache_->hits;
-    } else {
-      ++plan_cache_->misses;
-    }
-  }
-  UnitDecomposition decomposition;
-  if (cached.has_value()) {
-    decomposition = *std::move(cached);
-    stats.plan_cache_hit = true;
-  } else {
-    Result<UnitDecomposition> decomposition_or =
-        [&]() -> Result<UnitDecomposition> {
-      PPSM_TRACE_SPAN_CAT("cluster.decompose", "query");
-      std::vector<QueryUnit> units =
-          EnumerateCandidateUnits(qo, shards_[0].EffectiveUnitDepth());
-      // Merged owned candidates (ascending global id) and their full Go
-      // degrees, once per query vertex — shared by every unit rooted there.
-      std::vector<std::vector<VertexId>> merged(qo.NumVertices());
-      std::vector<std::vector<size_t>> degrees(qo.NumVertices());
-      for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-        for (size_t s = 0; s < shards_.size(); ++s) {
-          const std::vector<VertexId> local =
-              shards_[s].index().CandidateCenters(qo, v);
-          for (const VertexId l : local) {
-            if (owned_[s][l] != 0) merged[v].push_back(to_global_[s][l]);
-          }
-        }
-        std::sort(merged[v].begin(), merged[v].end());
-        degrees[v].reserve(merged[v].size());
-        for (const VertexId g : merged[v]) {
-          degrees[v].push_back(go_degree_[g]);
-        }
-      }
-      std::vector<double> costs;
-      costs.reserve(units.size());
-      for (const QueryUnit& unit : units) {
-        costs.push_back(EstimateUnitCardinalityForCandidates(
-            stats_, qo, unit, merged[unit.root()], degrees[unit.root()]));
-      }
-      return DecomposeQueryUnitsWithCosts(qo, std::move(units),
-                                          std::move(costs));
-    }();
-    PPSM_ASSIGN_OR_RETURN(decomposition, std::move(decomposition_or));
-    if (plan_cache_ != nullptr) {
-      std::lock_guard<std::mutex> lock(plan_cache_->mu);
-      plan_cache_->plans.Put(std::move(signature), decomposition);
-    }
-  }
-  stats.decomposition_ms = phase_timer.ElapsedMillis();
-  stats.num_stars = decomposition.units.size();
-  if (has_deadline && SteadyClock::now() >= deadline) {
-    return timeout("after decomposition");
-  }
-
-  // Phase 2: shard-local unit matching. Every shard matches the same units
-  // over its slice, restricted to its owned candidate roots; rows come
-  // back in slice-local ids and are translated to global Go-local ids here
-  // (NOT to Gk yet — the merge must run in the monotone global id space;
-  // to_gk follows AVT row order and is not monotone).
-  phase_timer.Restart();
+  // Shard-local unit matching. Every shard matches the same units over its
+  // slice, restricted to its owned candidate roots; rows come back in
+  // slice-local ids and are translated to global Go-local ids here (the
+  // merge must run in the monotone global id space; to_gk follows AVT row
+  // order and is not monotone). The phase counters in `options` aggregate
+  // across shards: each shard builds its own slice-local aux graph.
   std::vector<std::vector<UnitMatches>> shard_rows(shards_.size());
-  stats.shards.resize(shards_.size());
-  // Aggregated across shards: each shard builds its own slice-local aux
-  // graph, so build time and footprint sum, as do the kernel counters.
-  MatchPhaseStats phase_stats;
+  stats->shards.resize(shards_.size());
   // The wire codec ships rows/columns only, so the skipped flag (like the
   // unit kind below) must be captured before the exchange. A unit is
   // reported skipped when every shard skipped it — a shard that ran it
   // contributes real rows to the merge.
-  std::vector<uint8_t> unit_skipped(decomposition.units.size(), 1);
+  std::vector<uint8_t> skipped(units.size(), 1);
   for (size_t s = 0; s < shards_.size(); ++s) {
     WallTimer shard_timer;
-    UnitMatchOptions star_options;
-    star_options.max_rows = kMaxRows;
-    star_options.num_threads = shard_config_.num_threads;
-    star_options.use_aux_graph = shard_config_.aux_graph;
-    star_options.intersect_kernel = shard_config_.intersect_kernel;
-    star_options.phase_stats = &phase_stats;
-    if (has_deadline) {
-      star_options.cancelled = [deadline] {
-        return SteadyClock::now() >= deadline;
-      };
-    }
+    UnitMatchOptions shard_options = options;
     const std::vector<uint8_t>& owned = owned_[s];
-    star_options.candidate_filter = [&owned](VertexId v) {
+    shard_options.candidate_filter = [&owned](VertexId v) {
       return owned[v] != 0;
     };
     shard_rows[s] = [&] {
       TraceSpan span(Tracer::Global(), "cluster.shard_match", "query");
-      span.AddArg("query_id", stats.query_id);
+      span.AddArg("query_id", stats->query_id);
       span.AddArg("shard", static_cast<uint64_t>(s));
-      return MatchUnits(shards_[s].data(), shards_[s].index(), qo,
-                        decomposition.units, star_options);
+      return MatchUnits(shards_[s].data(), shards_[s].index(), qo, units,
+                        shard_options);
     }();
     const std::vector<VertexId>& to_global = to_global_[s];
-    ShardProfile& profile = stats.shards[s];
+    ShardProfile& profile = stats->shards[s];
     profile.shard = static_cast<uint32_t>(s);
-    for (UnitMatches& star : shard_rows[s]) {
-      MatchSet translated(star.matches.arity());
-      translated.ReserveAdditional(star.matches.NumMatches());
-      std::vector<VertexId> row(star.matches.arity());
-      for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
-        const auto local = star.matches.Get(r);
-        for (size_t i = 0; i < local.size(); ++i) {
-          row[i] = to_global[local[i]];
+    for (size_t i = 0; i < shard_rows[s].size(); ++i) {
+      UnitMatches& unit = shard_rows[s][i];
+      MatchSet translated(unit.matches.arity());
+      translated.ReserveAdditional(unit.matches.NumMatches());
+      std::vector<VertexId> row(unit.matches.arity());
+      for (size_t r = 0; r < unit.matches.NumMatches(); ++r) {
+        const auto local = unit.matches.Get(r);
+        for (size_t c = 0; c < local.size(); ++c) {
+          row[c] = to_global[local[c]];
         }
         translated.Append(row);
       }
-      star.matches = std::move(translated);
-      profile.candidates += star.num_candidates;
-      profile.rows += star.matches.NumMatches();
-    }
-    for (size_t i = 0;
-         i < shard_rows[s].size() && i < unit_skipped.size(); ++i) {
-      if (!shard_rows[s][i].skipped) unit_skipped[i] = 0;
+      unit.matches = std::move(translated);
+      profile.candidates += unit.num_candidates;
+      profile.rows += unit.matches.NumMatches();
+      if (!unit.skipped) skipped[i] = 0;
     }
     profile.match_ms = shard_timer.ElapsedMillis();
     metrics.shard_rows.Observe(static_cast<double>(profile.rows));
   }
-  if (has_deadline && SteadyClock::now() >= deadline) {
-    return timeout("during star matching");
-  }
 
-  // Phase 2b: BSP exchange — every shard but the coordinator-colocated
-  // shard 0 ships its un-expanded rows over its simulated link. The bytes
-  // go through the real wire codec both ways; by the probe-join design the
-  // payload is independent of k.
+  // BSP exchange — every shard but the coordinator-colocated shard 0 ships
+  // its un-expanded rows over its simulated link. The bytes go through the
+  // real wire codec both ways; by the probe-join design the payload is
+  // independent of k.
   for (size_t s = 1; s < shards_.size(); ++s) {
     ExchangeStats exchange;
     Result<std::vector<UnitMatches>> shipped_or = [&] {
@@ -547,114 +386,27 @@ Result<WireAnswer> CloudCluster::Serve(std::span<const uint8_t> qo_bytes,
                           &exchange);
     }();
     PPSM_ASSIGN_OR_RETURN(shard_rows[s], std::move(shipped_or));
-    stats.shards[s].exchange_ms = exchange.transfer_ms;
-    stats.shards[s].exchanged_bytes = exchange.bytes;
+    stats->shards[s].exchange_ms = exchange.transfer_ms;
+    stats->shards[s].exchanged_bytes = exchange.bytes;
     metrics.exchanged_bytes.Increment(exchange.bytes);
     metrics.exchange_ms.Observe(exchange.transfer_ms);
   }
 
-  // Phase 2c: k-way merge back into the global enumeration order, then the
-  // merged-total row cap (the unsharded refusal boundary).
-  Result<std::vector<UnitMatches>> merged_or =
-      MergeShardUnitMatches(shard_rows);
-  PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> stars,
-                        std::move(merged_or));
-  for (UnitMatches& star : stars) {
-    if (star.matches.NumMatches() > kMaxRows) star.truncated = true;
-  }
-
-  // The wire codec ships rows/columns only, so the unit kind is restored
-  // from the coordinator's plan (shards matched exactly these units).
-  for (size_t i = 0; i < stars.size() && i < decomposition.units.size();
-       ++i) {
-    stars[i].kind = decomposition.units[i].kind;
-  }
-  const bool estimates_aligned =
-      decomposition.estimates.size() == stars.size();
-  stats.stars.reserve(stars.size());
-  bool star_truncated = false;
-  for (size_t i = 0; i < stars.size(); ++i) {
-    UnitProfile profile;
-    profile.center = static_cast<uint32_t>(stars[i].center);
-    profile.candidates = stars[i].num_candidates;
-    profile.rows = stars[i].matches.NumMatches();
-    profile.estimated_rows =
-        estimates_aligned ? decomposition.estimates[i] : 0.0;
-    profile.truncated = stars[i].truncated;
-    profile.skipped = i < unit_skipped.size() && unit_skipped[i] != 0;
-    profile.kind = UnitKindName(stars[i].kind);
-    star_truncated = star_truncated || stars[i].truncated;
-    stats.stars.push_back(profile);
-  }
-  stats.aux_build_ms = phase_stats.aux_build_ms;
-  stats.aux_bytes = phase_stats.aux_bytes;
-  stats.intersect_scalar =
-      phase_stats.intersect_scalar.load(std::memory_order_relaxed);
-  stats.intersect_galloping =
-      phase_stats.intersect_galloping.load(std::memory_order_relaxed);
-  stats.intersect_simd =
-      phase_stats.intersect_simd.load(std::memory_order_relaxed);
-  // Translate the merged global rows to Gk ids for the join.
-  for (UnitMatches& star : stars) {
-    MatchSet translated(star.matches.arity());
-    translated.ReserveAdditional(star.matches.NumMatches());
-    std::vector<VertexId> row(star.matches.arity());
-    for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
-      const auto global = star.matches.Get(r);
-      for (size_t i = 0; i < global.size(); ++i) {
-        row[i] = to_gk_[global[i]];
-      }
-      translated.Append(row);
+  // k-way merge back into the global enumeration order, then the
+  // merged-total row cap: the unsharded refusal boundary, since a unit that
+  // would truncate on one server either truncates on some shard or
+  // overflows the merged stream here. Kind and skipped flags are restored
+  // from the plan (shards matched exactly these units) and the shards.
+  PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> merged,
+                        MergeShardUnitMatches(shard_rows));
+  for (size_t i = 0; i < merged.size(); ++i) {
+    if (merged[i].matches.NumMatches() > options.max_rows) {
+      merged[i].truncated = true;
     }
-    star.matches = std::move(translated);
-    stats.rs_size += star.matches.NumMatches();
+    merged[i].kind = units[i].kind;
+    merged[i].skipped = skipped[i] != 0;
   }
-  stats.star_matching_ms = phase_timer.ElapsedMillis();
-  if (star_truncated) {
-    stats.overflowed = true;
-    stats.total_ms = total_timer.ElapsedMillis();
-    return Status::ResourceExhausted(
-        "star match set was truncated; join would be incomplete");
-  }
-  if (has_deadline && SteadyClock::now() >= deadline) {
-    return timeout("before join");
-  }
-
-  // Phase 3: the coordinator's result join, identical to the unsharded one.
-  phase_timer.Restart();
-  JoinOptions join_options;
-  join_options.max_rows = kMaxRows;
-  join_options.num_threads = shard_config_.num_threads;
-  join_options.star_cost_estimates = decomposition.estimates;
-  JoinDiagnostics join_diag;
-  Result<MatchSet> rin_or = [&] {
-    TraceSpan span(Tracer::Global(), "cluster.join", "query");
-    span.AddArg("query_id", stats.query_id);
-    span.AddArg("rs_size", static_cast<uint64_t>(stats.rs_size));
-    return JoinUnitMatches(stars, avt_, qo.NumVertices(), join_options,
-                           &join_diag);
-  }();
-  stats.join_ms = phase_timer.ElapsedMillis();
-  stats.join_steps = std::move(join_diag.steps);
-  stats.peak_join_rows = join_diag.peak_rows;
-  if (!rin_or.ok()) {
-    if (rin_or.status().code() == StatusCode::kResourceExhausted) {
-      stats.overflowed = true;
-    }
-    stats.total_ms = total_timer.ElapsedMillis();
-    return rin_or.status();
-  }
-  const MatchSet rin = std::move(rin_or).value();
-
-  stats.result_rows = rin.NumMatches();
-  answer.response_payload = rin.Serialize();
-  stats.total_ms = total_timer.ElapsedMillis();
-  metrics.queries.Increment();
-  query_span.AddArg("result_rows",
-                    static_cast<uint64_t>(stats.result_rows));
-  query_span.AddArg("total_ms", stats.total_ms);
-  answer.stats = stats;
-  return answer;
+  return merged;
 }
 
 }  // namespace ppsm

@@ -2,7 +2,6 @@
 #define PPSM_CLOUD_CLUSTER_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,16 +27,23 @@ namespace ppsm {
 Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
                                        uint32_t num_shards, uint64_t seed);
 
+/// Seed of the partitioner run that assigns B1 vertices to shards in
+/// CloudCluster::Host (deterministic: same seed, same assignment).
+inline constexpr uint64_t kShardPartitionSeed = 7;
+
 /// A single-process sharded cloud: S CloudServer shards, each hosting the
-/// partitioner-assigned slice of Go, fronted by a coordinator that plans
-/// globally and merges shard answers. One query runs as a BSP superstep:
+/// partitioner-assigned slice of Go, fronted by a coordinator that runs the
+/// shared CloudQueryDriver pipeline. One query runs as a BSP superstep:
 ///
 ///   plan (coordinator, global)  ->  match (each shard, its owned centers)
 ///   ->  exchange (shards ship un-expanded R(S,Go) rows over simulated
 ///   links)  ->  merge + probe join (coordinator)
 ///
-/// Results are BYTE-IDENTICAL to the unsharded CloudServer at any shard
-/// count: candidate sets, cost-model sums (same floating-point order),
+/// The cluster supplies only the driver's two host steps: the planner's
+/// root candidates are the merge of the shards' owned shortlists, and unit
+/// rows come from the shard match, exchange and k-way merge. Results are
+/// BYTE-IDENTICAL to the unsharded CloudServer at any shard count:
+/// candidate sets, cost-model sums (same floating-point order),
 /// decomposition, row enumeration order and the join all reproduce the
 /// single-server execution exactly (DESIGN.md §13 gives the argument).
 /// Because the exchange ships un-expanded rows, its byte volume is
@@ -45,60 +51,44 @@ Result<ShardingPlan> BuildShardUploads(const UploadPackage& package,
 ///
 /// Thread-safety: like CloudServer — immutable after hosting except the
 /// plan cache behind its own mutex; Serve is const and concurrency-safe.
-class CloudCluster : public QueryHandler {
+class CloudCluster : public CloudQueryDriver {
  public:
-  ~CloudCluster() override;
-  CloudCluster(CloudCluster&&) noexcept;
-  CloudCluster& operator=(CloudCluster&&) noexcept;
-
   /// Builds the sharding plan from a serialized/in-memory upload and hosts
-  /// every shard (config.num_shards slices, partition_seed-deterministic).
+  /// `num_shards` slices (0 clamps to 1), each shard and the coordinator
+  /// configured by `config`.
   static Result<CloudCluster> Host(std::span<const uint8_t> package_bytes,
-                                   const ClusterConfig& config,
-                                   const ShardConfig& shard_config = {},
+                                   uint32_t num_shards,
+                                   const CloudConfig& config = {},
                                    const ChannelConfig& channel_config = {});
-  static Result<CloudCluster> Host(UploadPackage package,
-                                   const ClusterConfig& config,
-                                   const ShardConfig& shard_config = {},
+  static Result<CloudCluster> Host(UploadPackage package, uint32_t num_shards,
+                                   const CloudConfig& config = {},
                                    const ChannelConfig& channel_config = {});
   /// Hosts pre-built shard uploads (the snapshot-reload path): validates
   /// cross-shard consistency, rebuilds the global id maps and hosts one
-  /// CloudServer per slice.
+  /// CloudServer per slice. The shard count is the number of uploads.
   static Result<CloudCluster> HostShards(
-      std::vector<ShardUpload> shard_uploads, const ClusterConfig& config,
-      const ShardConfig& shard_config = {},
+      std::vector<ShardUpload> shard_uploads, const CloudConfig& config = {},
       const ChannelConfig& channel_config = {});
-
-  /// The one query entry point (QueryHandler). Same contract as
-  /// CloudServer::Serve; stats additionally carry one ShardProfile per
-  /// shard.
-  Result<WireAnswer> Serve(std::span<const uint8_t> qo_bytes,
-                           const QueryContext& ctx = {}) const override;
-  ServiceLimits limits() const override {
-    return {config_.max_inflight, config_.query_deadline_ms};
-  }
 
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
   }
   /// The hosted shard servers (tests; PpsmSystem::cloud() reports shard 0).
   const CloudServer& shard(size_t i) const { return shards_[i]; }
-  const ClusterConfig& config() const { return config_; }
-  uint32_t k() const { return avt_.k(); }
-  const GkStatistics& statistics() const { return stats_; }
-  /// Aggregated hit/miss counters of the coordinator's plan cache.
-  PlanCacheStats plan_cache_stats() const;
   /// Total bytes shipped shard -> coordinator since hosting (the exchange
   /// links' byte meters; shard 0 is the coordinator and ships nothing).
   size_t ExchangedBytes() const;
 
  private:
-  struct PlanCache;  // Mutex + LRU, same shape as CloudServer's.
+  explicit CloudCluster(const CloudConfig& config)
+      : CloudQueryDriver(config) {}
 
-  CloudCluster() = default;
+  RootDegrees RootCandidateDegrees(const AttributedGraph& qo) const override;
+  Result<std::vector<UnitMatches>> MatchUnitRows(
+      const AttributedGraph& qo, const std::vector<QueryUnit>& units,
+      const UnitMatchOptions& options,
+      CloudQueryStats* stats) const override;
 
-  ClusterConfig config_;
-  ShardConfig shard_config_;
   std::vector<CloudServer> shards_;
   /// Exchange link of each shard; entry 0 exists but is never charged (the
   /// coordinator is colocated with shard 0).
@@ -111,13 +101,8 @@ class CloudCluster : public QueryHandler {
   /// complete, so these equal the unsharded Go degrees) — the cost model's
   /// per-candidate input.
   std::vector<size_t> go_degree_;
-  /// Global Go-local id -> Gk id (the unsharded to_gk, reassembled).
-  std::vector<VertexId> to_gk_;
-  Avt avt_;             // Full table (identical on every shard).
-  GkStatistics stats_;  // Global statistics (identical on every shard).
   uint64_t global_vertices_ = 0;
   uint64_t global_b1_ = 0;
-  std::unique_ptr<PlanCache> plan_cache_;
 };
 
 }  // namespace ppsm

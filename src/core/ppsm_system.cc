@@ -122,12 +122,10 @@ Result<PpsmSystem> PpsmSystem::HostFromOwner(std::unique_ptr<DataOwner> owner,
           "ships all of Gk and has no partitionable B1 block");
     }
     PPSM_TRACE_SPAN_CAT("setup.cloud_host", "setup");
-    ClusterConfig cluster_config = ToClusterConfig(config.cloud);
-    cluster_config.num_shards = config.num_shards;
     PPSM_ASSIGN_OR_RETURN(
         CloudCluster cluster,
-        CloudCluster::Host(system.owner_->upload_bytes(), cluster_config,
-                           ToShardConfig(config.cloud), config.channel));
+        CloudCluster::Host(system.owner_->upload_bytes(), config.num_shards,
+                           config.cloud, config.channel));
     system.cluster_ = std::make_unique<CloudCluster>(std::move(cluster));
     system.service_ = std::make_unique<QueryService>(system.cluster_.get());
     return system;

@@ -113,23 +113,47 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
                                  std::move(model));
 }
 
+RootDegrees ShortlistRootDegrees(const AttributedGraph& qo,
+                                 const AttributedGraph& data,
+                                 const CloudIndex& index) {
+  RootDegrees degrees(qo.NumVertices());
+  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
+    for (const VertexId candidate : index.CandidateCenters(qo, v)) {
+      degrees[v].push_back(data.Degree(candidate));
+    }
+  }
+  return degrees;
+}
+
 Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
                                               const GkStatistics& stats,
-                                              const AttributedGraph& data,
-                                              const CloudIndex& index,
+                                              const RootDegrees& root_degrees,
                                               uint32_t max_depth) {
   if (qo.NumVertices() == 0) {
     return Status::InvalidArgument("query has no vertices");
+  }
+  if (root_degrees.size() != qo.NumVertices()) {
+    return Status::InvalidArgument(
+        "root-degree lists disagree with the query size");
   }
   std::vector<QueryUnit> candidates = EnumerateCandidateUnits(qo, max_depth);
   CoverIlp model;
   model.cost.reserve(candidates.size());
   for (const QueryUnit& unit : candidates) {
-    model.cost.push_back(
-        EstimateUnitCardinalityCandidateAware(stats, data, index, qo, unit));
+    model.cost.push_back(EstimateUnitCardinality(stats, qo, unit,
+                                                 root_degrees[unit.root()]));
   }
   return DecomposeUnitsWithCosts(qo, std::move(candidates),
                                  std::move(model));
+}
+
+Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
+                                              const GkStatistics& stats,
+                                              const AttributedGraph& data,
+                                              const CloudIndex& index,
+                                              uint32_t max_depth) {
+  return DecomposeQueryUnits(qo, stats, ShortlistRootDegrees(qo, data, index),
+                             max_depth);
 }
 
 Result<UnitDecomposition> DecomposeQueryUnitsWithCosts(

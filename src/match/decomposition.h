@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/attributed_graph.h"
+#include "match/index.h"
 #include "match/query_unit.h"
 #include "match/statistics.h"
 #include "util/status.h"
@@ -35,11 +36,30 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
                                               const GkStatistics& stats,
                                               uint32_t max_depth);
 
-/// Generalized decomposition with candidate-aware unit estimates evaluated
-/// against the hosted graph and its index — the unsharded cloud server's
-/// planner. On power-law graphs these estimates reliably steer the cover
-/// away from hub-rooted units whose match sets would be astronomically
-/// large.
+/// Root-candidate degrees of a query: element v lists the full Gk degree
+/// of every candidate root of query vertex v in ascending candidate id
+/// order — the input of the candidate-aware EstimateUnitCardinality.
+using RootDegrees = std::vector<std::vector<size_t>>;
+
+/// Root-candidate degrees from the hosted graph and its index: one
+/// CloudIndex::CandidateCenters shortlist per query vertex, shared by every
+/// unit rooted there.
+RootDegrees ShortlistRootDegrees(const AttributedGraph& qo,
+                                 const AttributedGraph& data,
+                                 const CloudIndex& index);
+
+/// Generalized decomposition with candidate-aware unit estimates — the
+/// cloud's planner. `root_degrees` (one list per query vertex) comes from
+/// the hosted index, or on a sharded cloud from the coordinator's merge of
+/// the shards' owned shortlists; equal lists give equal plans. On power-law
+/// graphs these estimates reliably steer the cover away from hub-rooted
+/// units whose match sets would be astronomically large.
+Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
+                                              const GkStatistics& stats,
+                                              const RootDegrees& root_degrees,
+                                              uint32_t max_depth);
+
+/// Same, shortlisting the root candidates on `data` and `index`.
 Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
                                               const GkStatistics& stats,
                                               const AttributedGraph& data,
@@ -49,9 +69,7 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
 /// Generalized decomposition over an explicit candidate-unit list with
 /// caller-supplied costs (`costs[i]` = estimated |R(units[i])|, size must
 /// equal units.size(); every cost finite and >= 0 or the call fails with
-/// InvalidArgument). The sharded coordinator plans with this after merging
-/// per-shard candidate lists, which makes its plan identical to the
-/// unsharded one without any shard owning the full hosted graph.
+/// InvalidArgument).
 Result<UnitDecomposition> DecomposeQueryUnitsWithCosts(
     const AttributedGraph& qo, std::vector<QueryUnit> units,
     std::vector<double> costs);

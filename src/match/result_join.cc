@@ -42,9 +42,8 @@ uint64_t KeyOfValues(std::span<const VertexId> values) {
 /// row probes under each F_m by mapping its shared values through F_m^{-1}
 /// (F_m is a bijection, so `F_m(star_row) agrees with current_row` iff
 /// `star_row agrees with F_m^{-1}(current_row)`). New columns of a hit are
-/// shifted forward with F_m on the fly. Callers that pre-expanded the star
-/// (the eager strategy, and the anchorless baseline where k = 1) pass
-/// probe_k = 1, which skips every Avt lookup.
+/// shifted forward with F_m on the fly. With k = 1 (the baseline's identity
+/// table) probe_k is 1, which skips every Avt lookup.
 ///
 /// The probe side is partitioned into contiguous chunks across
 /// options.num_threads workers; each chunk appends into its own buffer and
@@ -188,8 +187,8 @@ Intermediate JoinStep(const Intermediate& current,
           if (!consistent) continue;
           // All hits for one current row agree on the shared columns, so an
           // expanded row repeating an earlier function's output is exactly
-          // the min_dup_shift condition — the eager strategy removed the
-          // same rows with its global SortDedup over the expansion.
+          // the min_dup_shift condition — exactly the rows a SortDedup over
+          // the materialized expansion would remove.
           if (m > 0 && min_dup_shift[sr] <= m) continue;
           std::copy(current_row.begin(), current_row.end(),
                     combined.begin());
@@ -306,13 +305,11 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
     anchor_profile.star_index = static_cast<uint32_t>(anchor);
     anchor_profile.star_center = static_cast<uint32_t>(stars[anchor].center);
     anchor_profile.output_rows = stars[anchor].matches.NumMatches();
-    anchor_profile.eager = options.eager_expansion;
     anchor_profile.kind = UnitKindName(stars[anchor].kind);
     diagnostics->steps.push_back(anchor_profile);
   }
   // An empty anchor empties every join down the line: return before any
-  // other star gets hash-indexed (or, under the eager strategy, expanded
-  // k-fold).
+  // other star gets hash-indexed.
   if (stars[anchor].matches.NumMatches() == 0) {
     return MatchSet(num_query_vertices);
   }
@@ -357,20 +354,13 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
     profile.star_index = static_cast<uint32_t>(next);
     profile.star_center = static_cast<uint32_t>(stars[next].center);
     profile.estimated_rows = use_estimates ? cost_of(next) : 0.0;
-    profile.eager = options.eager_expansion;
     profile.kind = UnitKindName(stars[next].kind);
     bool overflow = false;
-    if (options.eager_expansion) {
-      const MatchSet expanded =
-          ExpandByAutomorphisms(stars[next].matches, avt);  // Lines 5-8.
-      current = JoinStep(current, stars[next].columns, expanded, avt,
-                         /*probe_k=*/1, options, diagnostics, &profile,
-                         &overflow);
-    } else {
-      current = JoinStep(current, stars[next].columns, stars[next].matches,
-                         avt, probe_k, options, diagnostics, &profile,
-                         &overflow);
-    }
+    // Lines 5-8 without materializing the expansion: probe under all k
+    // automorphic functions.
+    current = JoinStep(current, stars[next].columns, stars[next].matches,
+                       avt, probe_k, options, diagnostics, &profile,
+                       &overflow);
     if (diagnostics != nullptr) diagnostics->steps.push_back(profile);
     if (overflow) {
       return Status::ResourceExhausted(
@@ -394,8 +384,8 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
     }
     position[current.columns[p]] = p;
   }
-  // Reorder + final sort-dedup both scale with |Rin|, which can dwarf the
-  // join loop itself on high-fanout queries — run them chunked as well.
+  // The reorder scales with |Rin|, which can dwarf the join loop itself on
+  // high-fanout queries — run it chunked as well.
   const auto chunks = SplitIntoChunks(current.rows.NumMatches(),
                                       options.num_threads, kMinProbeChunk);
   std::vector<MatchSet> parts(chunks.size(), MatchSet(num_query_vertices));
@@ -420,7 +410,6 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
   // (overlap + new columns), and the min-shift check already keeps exactly
   // one (s, m) per expanded row. Sorting ~|Rin| distinct rows was the
   // single most expensive phase of large joins, for presentation only.
-  if (options.sorted_output) canonical.SortDedup(options.num_threads);
   return canonical;
 }
 

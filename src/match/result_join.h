@@ -12,9 +12,9 @@ namespace ppsm {
 
 /// Diagnostics from a join run (the benches report these). `steps` carries
 /// the anchor (step 0) plus one JoinStepProfile per JoinStep invocation —
-/// which star joined in, the §5.1 estimate for it, the rows actually
-/// produced, and which path (probe vs eager) ran — so a bad matching order
-/// is diagnosable per step instead of only in aggregate. The flat totals below are kept in lockstep with
+/// which star joined in, the §5.1 estimate for it and the rows actually
+/// produced — so a bad matching order is diagnosable per step instead of
+/// only in aggregate. The flat totals below are kept in lockstep with
 /// `steps` (they are derived sums/maxima) so existing consumers stay valid.
 struct JoinDiagnostics {
   /// Per-step trace, in join order. Step 0 is always the anchor star itself
@@ -57,18 +57,6 @@ struct JoinOptions {
   /// empty falls back to actual match counts. The anchor is always chosen
   /// by actual count — that minimizes |Rin| exactly and for free.
   std::vector<double> star_cost_estimates;
-  /// Legacy strategy: materialize R(S,Gk) per star via
-  /// ExpandByAutomorphisms before joining, instead of probing the
-  /// un-expanded R(S,Go) under all k automorphic functions. k times the
-  /// intermediate memory for the same result; kept for A/B benches and the
-  /// equivalence tests.
-  bool eager_expansion = false;
-  /// Sort Rin lexicographically before returning. The join emits distinct
-  /// rows by construction, so this is presentation only — and sorting |Rin|
-  /// rows was the single most expensive phase on high-fanout queries. No
-  /// consumer needs it (the client re-normalizes after expand+filter); kept
-  /// for A/B benches reproducing the pre-optimization pipeline.
-  bool sorted_output = false;
 };
 
 /// Algorithm 2 (result join): combines per-unit match sets over Go into
@@ -92,17 +80,16 @@ struct JoinOptions {
 ///
 /// Input matches must already be translated to Gk vertex ids and be
 /// duplicate-free per unit (MatchUnits guarantees both). Output columns are
-/// canonical (query vertex 0..m-1); rows are then distinct by construction,
-/// sorted only when `options.sorted_output` asks for it, and identical at
-/// any thread count.
+/// canonical (query vertex 0..m-1); rows are distinct by construction, in
+/// no particular order, and identical at any thread count.
 Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& units,
                                  const Avt& avt, size_t num_query_vertices,
                                  const JoinOptions& options,
                                  JoinDiagnostics* diagnostics = nullptr);
 
 /// Expands a Go-side match set to its Gk closure: union of F_m(matches) for
-/// m = 0..k-1, deduplicated. Shared by the eager join strategy and by the
-/// client's Rout computation (Algorithm 3 lines 1-5).
+/// m = 0..k-1, deduplicated. The client's Rout computation (Algorithm 3
+/// lines 1-5).
 MatchSet ExpandByAutomorphisms(const MatchSet& matches, const Avt& avt);
 
 }  // namespace ppsm

@@ -140,11 +140,11 @@ std::vector<double> LeafProbabilities(const GkStatistics& stats,
 /// D(Gk)^Dc approximation with each candidate's true degree sequence
 /// deg, deg-1, ...
 double SumCandidateProducts(const std::vector<double>& leaf_prob,
-                            const auto& degree_of, size_t num_candidates) {
+                            std::span<const size_t> degrees) {
   double estimate = 0.0;
-  for (size_t i = 0; i < num_candidates; ++i) {
+  for (const size_t candidate_degree : degrees) {
     double product = 1.0;
-    const double degree = degree_of(i);
+    const double degree = static_cast<double>(candidate_degree);
     for (size_t l = 0; l < leaf_prob.size(); ++l) {
       product *= std::max(degree - static_cast<double>(l), 0.0) *
                  leaf_prob[l];
@@ -153,36 +153,6 @@ double SumCandidateProducts(const std::vector<double>& leaf_prob,
   }
   return std::max(estimate, 1e-6);
 }
-
-}  // namespace
-
-double EstimateStarCardinalityCandidateAware(const GkStatistics& stats,
-                                             const AttributedGraph& data,
-                                             const CloudIndex& index,
-                                             const AttributedGraph& qo,
-                                             VertexId center) {
-  const std::vector<double> leaf_prob = LeafProbabilities(stats, qo, center);
-  const std::vector<VertexId> candidates =
-      index.CandidateCenters(qo, center);
-  return SumCandidateProducts(
-      leaf_prob,
-      [&](size_t i) { return static_cast<double>(data.Degree(candidates[i])); },
-      candidates.size());
-}
-
-double EstimateStarCardinalityForCandidates(
-    const GkStatistics& stats, const AttributedGraph& qo, VertexId center,
-    std::span<const VertexId> candidates,
-    std::span<const size_t> candidate_degrees) {
-  (void)candidates;  // Identity carried for symmetry; only degrees matter.
-  const std::vector<double> leaf_prob = LeafProbabilities(stats, qo, center);
-  return SumCandidateProducts(
-      leaf_prob,
-      [&](size_t i) { return static_cast<double>(candidate_degrees[i]); },
-      candidate_degrees.size());
-}
-
-namespace {
 
 /// Product of the edge-conditional extension factors for every depth>=2
 /// vertex of `unit`, in BFS slot order: max(D(Gk)-1, 0) * p(w) with p(w)
@@ -221,24 +191,12 @@ double EstimateUnitCardinality(const GkStatistics& stats,
   return std::max(base * DeepExtensionFactor(stats, qo, unit), 1e-6);
 }
 
-double EstimateUnitCardinalityCandidateAware(const GkStatistics& stats,
-                                             const AttributedGraph& data,
-                                             const CloudIndex& index,
-                                             const AttributedGraph& qo,
-                                             const QueryUnit& unit) {
-  const double base =
-      EstimateStarCardinalityCandidateAware(stats, data, index, qo,
-                                            unit.root());
-  if (unit.depth <= 1) return base;
-  return std::max(base * DeepExtensionFactor(stats, qo, unit), 1e-6);
-}
-
-double EstimateUnitCardinalityForCandidates(
-    const GkStatistics& stats, const AttributedGraph& qo,
-    const QueryUnit& unit, std::span<const VertexId> candidates,
-    std::span<const size_t> candidate_degrees) {
-  const double base = EstimateStarCardinalityForCandidates(
-      stats, qo, unit.root(), candidates, candidate_degrees);
+double EstimateUnitCardinality(const GkStatistics& stats,
+                               const AttributedGraph& qo,
+                               const QueryUnit& unit,
+                               std::span<const size_t> root_degrees) {
+  const double base = SumCandidateProducts(
+      LeafProbabilities(stats, qo, unit.root()), root_degrees);
   if (unit.depth <= 1) return base;
   return std::max(base * DeepExtensionFactor(stats, qo, unit), 1e-6);
 }

@@ -7,7 +7,6 @@
 
 #include "graph/attributed_graph.h"
 #include "kauto/outsourced_graph.h"
-#include "match/index.h"
 #include "match/query_unit.h"
 
 namespace ppsm {
@@ -50,35 +49,6 @@ GkStatistics ComputeGraphStatistics(const AttributedGraph& graph, uint32_t k,
 double EstimateStarCardinality(const GkStatistics& stats,
                                const AttributedGraph& qo, VertexId center);
 
-/// Candidate-aware refinement of Expression 4. The paper approximates the
-/// candidate center's degree with D(Gk) ("we use the average degree of
-/// vertices in Gk to estimate the degree of vertex v", §5.1); on power-law
-/// graphs that underestimates hub-rooted stars by orders of magnitude, so
-/// here the second factor is summed over the *actual* VBV candidate set
-/// with each candidate's true degree:
-///   est = sum_{va in alpha(center)} prod_{l=1..Dc} max(deg(va)-l, 0) * p_l
-/// where p_l is leaf l's per-neighbor compatibility probability from the
-/// group/type frequencies. Costs one index shortlist per query vertex —
-/// negligible for query-sized graphs — and keeps the decomposition ILP away
-/// from stars that would materialize astronomically many rows.
-double EstimateStarCardinalityCandidateAware(const GkStatistics& stats,
-                                             const AttributedGraph& data,
-                                             const CloudIndex& index,
-                                             const AttributedGraph& qo,
-                                             VertexId center);
-
-/// Same estimator evaluated over an explicit candidate list: element i of
-/// `candidate_degrees` is the (full, Gk) degree of candidate i. The sharded
-/// cloud plans globally with this overload — each shard shortlists its owned
-/// candidates, the coordinator concatenates them in ascending id order and
-/// feeds the merged list here, making the floating-point accumulation order
-/// (and hence the ILP's costs) bit-identical to the unsharded
-/// EstimateStarCardinalityCandidateAware call.
-double EstimateStarCardinalityForCandidates(
-    const GkStatistics& stats, const AttributedGraph& qo, VertexId center,
-    std::span<const VertexId> candidates,
-    std::span<const size_t> candidate_degrees);
-
 /// Estimated |R(U)| for a generalized decomposition unit. Star units
 /// delegate to EstimateStarCardinality bitwise (the unit's depth-1 children
 /// are exactly the root's query neighbors, in adjacency order). Deeper units
@@ -93,25 +63,25 @@ double EstimateUnitCardinality(const GkStatistics& stats,
                                const AttributedGraph& qo,
                                const QueryUnit& unit);
 
-/// Candidate-aware unit estimate: the root level uses the VBV/LBV shortlist
-/// with true candidate degrees (EstimateStarCardinalityCandidateAware,
-/// bitwise for star units); deeper vertices use the same extension factors
-/// as EstimateUnitCardinality — their matched data vertices are unknown at
-/// planning time, so only the average degree is available.
-double EstimateUnitCardinalityCandidateAware(const GkStatistics& stats,
-                                             const AttributedGraph& data,
-                                             const CloudIndex& index,
-                                             const AttributedGraph& qo,
-                                             const QueryUnit& unit);
-
-/// Candidate-list overload, mirroring EstimateStarCardinalityForCandidates:
-/// the sharded coordinator merges each shard's owned root candidates in
-/// ascending global id order and reproduces the unsharded estimate
-/// bit-for-bit.
-double EstimateUnitCardinalityForCandidates(
-    const GkStatistics& stats, const AttributedGraph& qo,
-    const QueryUnit& unit, std::span<const VertexId> candidates,
-    std::span<const size_t> candidate_degrees);
+/// Candidate-aware refinement of the unit estimate. The paper approximates
+/// a candidate root's degree with D(Gk) ("we use the average degree of
+/// vertices in Gk to estimate the degree of vertex v", §5.1); on power-law
+/// graphs that underestimates hub-rooted units by orders of magnitude, so
+/// here the root level is summed over the *actual* candidate roots with
+/// each candidate's true degree:
+///   est = sum_{va in alpha(root)} prod_{l=1..Dc} max(deg(va)-l, 0) * p_l
+/// where p_l is leaf l's per-neighbor compatibility probability from the
+/// group/type frequencies. Deeper vertices use the same extension factors
+/// as the statistics-only overload — their matched data vertices are
+/// unknown at planning time. `root_degrees` lists the full Gk degree of
+/// every index candidate of the unit's root in ascending candidate id
+/// order, which is the summation order: the unsharded server's shortlist
+/// and the sharded coordinator's merge of the shards' owned shortlists are
+/// the same list, so both reproduce the same estimate bit for bit.
+double EstimateUnitCardinality(const GkStatistics& stats,
+                               const AttributedGraph& qo,
+                               const QueryUnit& unit,
+                               std::span<const size_t> root_degrees);
 
 }  // namespace ppsm
 

@@ -99,7 +99,6 @@ std::string JoinStepToJson(const JoinStepProfile& step) {
   AppendField(&out, "output_rows", step.output_rows, &first);
   AppendField(&out, "injectivity_drops", step.injectivity_drops, &first);
   AppendField(&out, "estimated_rows", step.estimated_rows, &first);
-  AppendField(&out, "eager", step.eager, &first);
   AppendField(&out, "overflow", step.overflow, &first);
   AppendField(&out, "kind", step.kind, &first);
   out.push_back('}');
@@ -346,8 +345,6 @@ Status ParseJoinStep(JsonCursor* cursor, JoinStepProfile* step) {
       PPSM_ASSIGN_OR_RETURN(step->injectivity_drops, ParseU64(cursor));
     } else if (key == "estimated_rows") {
       PPSM_ASSIGN_OR_RETURN(step->estimated_rows, cursor->ParseNumber());
-    } else if (key == "eager") {
-      PPSM_ASSIGN_OR_RETURN(step->eager, cursor->ParseBool());
     } else if (key == "overflow") {
       PPSM_ASSIGN_OR_RETURN(step->overflow, cursor->ParseBool());
     } else if (key == "kind") {

@@ -42,7 +42,6 @@ struct JoinStepProfile {
   uint64_t output_rows = 0;        // Intermediate rows after this step.
   uint64_t injectivity_drops = 0;  // Rows dropped by the duplicate filter.
   double estimated_rows = 0.0;     // §5.1 estimate for the unit (0 = none).
-  bool eager = false;              // Eager-expansion path (vs k-probe).
   bool overflow = false;           // This step hit the row cap.
   std::string kind = "star";       // Shape of the joined unit.
 };

@@ -22,7 +22,7 @@ namespace ppsm {
 /// ---------------------------------------------------------------------------
 
 /// Per-request evaluation knobs (the request-scoped complement of the
-/// deployment-scoped ShardConfig/ClusterConfig).
+/// deployment-scoped CloudConfig).
 struct QueryOptions {
   /// Sort the final exact matches lexicographically before returning them.
   /// Presentation only — the result set is distinct either way — and off by
@@ -39,7 +39,7 @@ struct QueryRequest {
   AttributedGraph pattern;
   QueryOptions options;
   /// Per-request wall-clock budget in milliseconds, measured from admission.
-  /// 0 defers to the service-wide ClusterConfig::query_deadline_ms.
+  /// 0 defers to the service-wide CloudConfig::query_deadline_ms.
   uint64_t deadline_ms = 0;
   /// Opaque caller tag, echoed on QueryResponse::tag.
   std::string tag;
@@ -181,7 +181,7 @@ struct WireAnswer {
 };
 
 /// Admission-relevant limits a query handler advertises to the service
-/// fronting it (the serving subset of ClusterConfig).
+/// fronting it (the serving subset of CloudConfig).
 struct ServiceLimits {
   size_t max_inflight = 16;
   uint64_t query_deadline_ms = 0;

@@ -329,17 +329,14 @@ TEST(AuxGraph, EndToEndByteIdenticalAcrossKShardsThreads) {
 
     for (const uint32_t num_shards : {1u, 2u, 4u}) {
       for (const size_t num_threads : {size_t{1}, size_t{8}}) {
-        ClusterConfig cluster_config;
-        cluster_config.num_shards = num_shards;
-        ShardConfig aux_on;
+        CloudConfig aux_on;
         aux_on.num_threads = num_threads;
         aux_on.aux_graph = true;
-        ShardConfig aux_off = aux_on;
+        CloudConfig aux_off = aux_on;
         aux_off.aux_graph = false;
-        auto on = CloudCluster::Host(owner->upload_bytes(), cluster_config,
-                                     aux_on);
-        auto off = CloudCluster::Host(owner->upload_bytes(), cluster_config,
-                                      aux_off);
+        auto on = CloudCluster::Host(owner->upload_bytes(), num_shards, aux_on);
+        auto off =
+            CloudCluster::Host(owner->upload_bytes(), num_shards, aux_off);
         ASSERT_TRUE(on.ok()) << on.status();
         ASSERT_TRUE(off.ok()) << off.status();
         for (size_t i = 0; i < requests.size(); ++i) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -36,11 +37,13 @@ struct Fixture {
   std::vector<std::vector<uint8_t>> requests;  // Serialized Qo workload.
 };
 
-Fixture MakeFixture(uint32_t k, size_t num_queries, uint64_t seed = 11) {
+Fixture MakeFixture(uint32_t k, size_t num_queries, uint64_t seed = 11,
+                    uint32_t go_hops = 1) {
   auto g = GenerateDataset(DbpediaLike(0.01));
   EXPECT_TRUE(g.ok());
   DataOwnerOptions options;
   options.k = k;
+  options.go_hops = go_hops;
   auto owner = DataOwner::Create(*g, g->schema(), options);
   EXPECT_TRUE(owner.ok());
   Fixture fx{*std::move(g), *std::move(owner), {}};
@@ -55,49 +58,110 @@ Fixture MakeFixture(uint32_t k, size_t num_queries, uint64_t seed = 11) {
   return fx;
 }
 
+/// Every CloudQueryStats field both hosts fill deterministically. Left out:
+/// timings (per run), the aux footprint and kernel counters (each shard
+/// builds its own slice-local aux graph, so they sum over shards) and the
+/// shard profiles (cluster only).
+void ExpectSameDeterministicStats(const CloudQueryStats& got,
+                                  const CloudQueryStats& want) {
+  EXPECT_EQ(got.num_stars, want.num_stars);
+  EXPECT_EQ(got.rs_size, want.rs_size);
+  EXPECT_EQ(got.result_rows, want.result_rows);
+  EXPECT_EQ(got.peak_join_rows, want.peak_join_rows);
+  EXPECT_EQ(got.plan_cache_hit, want.plan_cache_hit);
+  EXPECT_EQ(got.overflowed, want.overflowed);
+  EXPECT_EQ(got.timed_out_phase, want.timed_out_phase);
+  // The global plan must be the unsharded plan, unit for unit.
+  ASSERT_EQ(got.stars.size(), want.stars.size());
+  for (size_t u = 0; u < want.stars.size(); ++u) {
+    EXPECT_EQ(got.stars[u].center, want.stars[u].center) << "unit " << u;
+    EXPECT_EQ(got.stars[u].candidates, want.stars[u].candidates);
+    EXPECT_EQ(got.stars[u].rows, want.stars[u].rows);
+    EXPECT_EQ(got.stars[u].estimated_rows, want.stars[u].estimated_rows);
+    EXPECT_EQ(got.stars[u].truncated, want.stars[u].truncated);
+    EXPECT_EQ(got.stars[u].skipped, want.stars[u].skipped);
+    EXPECT_EQ(got.stars[u].kind, want.stars[u].kind);
+  }
+  ASSERT_EQ(got.join_steps.size(), want.join_steps.size());
+  for (size_t i = 0; i < want.join_steps.size(); ++i) {
+    const JoinStepProfile& a = got.join_steps[i];
+    const JoinStepProfile& b = want.join_steps[i];
+    EXPECT_EQ(a.step, b.step) << "join step " << i;
+    EXPECT_EQ(a.star_index, b.star_index);
+    EXPECT_EQ(a.star_center, b.star_center);
+    EXPECT_EQ(a.build_rows, b.build_rows);
+    EXPECT_EQ(a.output_rows, b.output_rows);
+    EXPECT_EQ(a.injectivity_drops, b.injectivity_drops);
+    EXPECT_EQ(a.estimated_rows, b.estimated_rows);
+    EXPECT_EQ(a.overflow, b.overflow);
+    EXPECT_EQ(a.kind, b.kind);
+  }
+}
+
 TEST(Cluster, ByteIdenticalToUnshardedAtEveryShardCount) {
   // The acceptance bar of the sharded design: not equivalent-up-to-order
-  // but BYTE-identical response payloads, for k=8 and a mixed workload.
-  Fixture fx = MakeFixture(/*k=*/8, /*num_queries=*/6);
-  auto server = CloudServer::Host(fx.owner.upload_bytes());
-  ASSERT_TRUE(server.ok()) << server.status();
+  // but BYTE-identical response payloads and the same per-query stats, for
+  // k=8 and a mixed workload, over the paper's radius-1 Go and a radius-2
+  // Go with path/tree units in play.
+  for (const uint32_t go_hops : {1u, 2u}) {
+    Fixture fx = MakeFixture(/*k=*/8, /*num_queries=*/6, /*seed=*/11, go_hops);
+    for (const uint32_t num_shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE("go_hops=" + std::to_string(go_hops) +
+                   " shards=" + std::to_string(num_shards));
+      // Both hosts start with cold plan caches, so hits stay in lockstep.
+      auto server = CloudServer::Host(fx.owner.upload_bytes());
+      ASSERT_TRUE(server.ok()) << server.status();
+      auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), num_shards);
+      ASSERT_TRUE(cluster.ok()) << cluster.status();
+      ASSERT_EQ(cluster->num_shards(), num_shards);
+      EXPECT_EQ(cluster->k(), 8u);
+      EXPECT_EQ(cluster->hops(), go_hops);
+      EXPECT_EQ(cluster->EffectiveUnitDepth(), server->EffectiveUnitDepth());
 
-  for (const uint32_t num_shards : {1u, 2u, 4u}) {
-    ClusterConfig config;
-    config.num_shards = num_shards;
-    auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), config);
-    ASSERT_TRUE(cluster.ok()) << cluster.status();
-    ASSERT_EQ(cluster->num_shards(), num_shards);
-    EXPECT_EQ(cluster->k(), 8u);
-
-    for (const auto& request : fx.requests) {
-      auto want = server->Serve(request);
-      ASSERT_TRUE(want.ok()) << want.status();
-      auto got = cluster->Serve(request);
-      ASSERT_TRUE(got.ok()) << got.status();
-      EXPECT_EQ(got->response_payload, want->response_payload)
-          << "shards=" << num_shards;
-      // The global plan must be the unsharded plan, star for star.
-      EXPECT_EQ(got->stats.num_stars, want->stats.num_stars);
-      EXPECT_EQ(got->stats.rs_size, want->stats.rs_size);
-      EXPECT_EQ(got->stats.result_rows, want->stats.result_rows);
-      ASSERT_EQ(got->stats.stars.size(), want->stats.stars.size());
-      for (size_t s = 0; s < want->stats.stars.size(); ++s) {
-        EXPECT_EQ(got->stats.stars[s].center, want->stats.stars[s].center);
-        EXPECT_EQ(got->stats.stars[s].candidates,
-                  want->stats.stars[s].candidates);
-        EXPECT_EQ(got->stats.stars[s].rows, want->stats.stars[s].rows);
-        EXPECT_EQ(got->stats.stars[s].estimated_rows,
-                  want->stats.stars[s].estimated_rows);
+      // The second pass repeats every query, so it must hit both caches.
+      for (const bool repeat : {false, true}) {
+        for (const auto& request : fx.requests) {
+          auto want = server->Serve(request);
+          ASSERT_TRUE(want.ok()) << want.status();
+          auto got = cluster->Serve(request);
+          ASSERT_TRUE(got.ok()) << got.status();
+          EXPECT_EQ(got->response_payload, want->response_payload);
+          ExpectSameDeterministicStats(got->stats, want->stats);
+          if (repeat) {
+            EXPECT_TRUE(got->stats.plan_cache_hit);
+          }
+          ASSERT_EQ(got->stats.shards.size(), num_shards);
+        }
       }
-      ASSERT_EQ(got->stats.shards.size(), num_shards);
+      EXPECT_EQ(cluster->plan_cache_stats().hits,
+                server->plan_cache_stats().hits);
+      EXPECT_EQ(cluster->plan_cache_stats().misses,
+                server->plan_cache_stats().misses);
+
+      // An already-expired deadline refuses both hosts at the same
+      // checkpoint, with the same partial stats.
+      QueryContext ctx;
+      ctx.deadline =
+          std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+      CloudQueryStats want_stats;
+      ctx.stats = &want_stats;
+      auto want = server->Serve(fx.requests[0], ctx);
+      CloudQueryStats got_stats;
+      ctx.stats = &got_stats;
+      auto got = cluster->Serve(fx.requests[0], ctx);
+      ASSERT_FALSE(want.ok());
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(want.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(want_stats.timed_out_phase, "on admission");
+      ExpectSameDeterministicStats(got_stats, want_stats);
     }
   }
 }
 
 TEST(Cluster, ShardUploadsRoundTripThroughTheStore) {
   Fixture fx = MakeFixture(/*k=*/3, /*num_queries=*/4);
-  auto plan = fx.owner.BuildShardUploads(/*num_shards=*/4, /*seed=*/7);
+  auto plan = fx.owner.BuildShardUploads(/*num_shards=*/4, kShardPartitionSeed);
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_EQ(plan->shards.size(), 4u);
   EXPECT_EQ(plan->partitioning.num_parts, 4u);
@@ -118,9 +182,7 @@ TEST(Cluster, ShardUploadsRoundTripThroughTheStore) {
   // Re-hosting the reloaded shards merges to the unsharded answers.
   auto server = CloudServer::Host(fx.owner.upload_bytes());
   ASSERT_TRUE(server.ok());
-  ClusterConfig config;
-  config.num_shards = 4;
-  auto cluster = CloudCluster::HostShards(std::move(reloaded->shards), config);
+  auto cluster = CloudCluster::HostShards(std::move(reloaded->shards));
   ASSERT_TRUE(cluster.ok()) << cluster.status();
   for (const auto& request : fx.requests) {
     auto want = server->Serve(request);
@@ -133,9 +195,7 @@ TEST(Cluster, ShardUploadsRoundTripThroughTheStore) {
 
 TEST(Cluster, ExchangeMetersCountShardTraffic) {
   Fixture fx = MakeFixture(/*k=*/2, /*num_queries=*/3);
-  ClusterConfig config;
-  config.num_shards = 3;
-  auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), config);
+  auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), /*num_shards=*/3);
   ASSERT_TRUE(cluster.ok()) << cluster.status();
 
   EXPECT_EQ(cluster->ExchangedBytes(), 0u);
@@ -221,13 +281,11 @@ TEST(Cluster, BaselineUploadsAreRejected) {
   auto owner = DataOwner::Create(*g, g->schema(), options);
   ASSERT_TRUE(owner.ok());
 
-  auto plan = owner->BuildShardUploads(/*num_shards=*/2, /*seed=*/7);
+  auto plan = owner->BuildShardUploads(/*num_shards=*/2, kShardPartitionSeed);
   EXPECT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
 
-  ClusterConfig config;
-  config.num_shards = 2;
-  auto cluster = CloudCluster::Host(owner->upload_bytes(), config);
+  auto cluster = CloudCluster::Host(owner->upload_bytes(), /*num_shards=*/2);
   EXPECT_FALSE(cluster.ok());
 }
 

@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "graph/query_extractor.h"
 #include "kauto/outsourced_graph.h"
+#include "match/decomposition.h"
 #include "match/statistics.h"
 #include "match/unit_matcher.h"
 #include "util/random.h"
@@ -72,9 +73,11 @@ TEST(CostModelEffectiveness, CandidateAwareRankingMatchesActualCounts) {
     // Estimate and actually materialize every star of this query.
     std::vector<double> estimate(qo->NumVertices());
     std::vector<double> actual(qo->NumVertices());
+    const RootDegrees root_degrees =
+        ShortlistRootDegrees(*qo, p.go.graph, p.index);
     for (VertexId v = 0; v < qo->NumVertices(); ++v) {
-      estimate[v] = EstimateStarCardinalityCandidateAware(
-          p.stats, p.go.graph, p.index, *qo, v);
+      estimate[v] = EstimateUnitCardinality(p.stats, *qo, MakeStarUnit(*qo, v),
+                                            root_degrees[v]);
       actual[v] = static_cast<double>(
           MatchUnit(p.go.graph, p.index, *qo, MakeStarUnit(*qo, v))
               .matches.NumMatches());

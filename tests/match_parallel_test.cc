@@ -5,6 +5,8 @@
 // CI — the equivalence tests at 4/8 threads are the data-race canaries for
 // the chunked MatchUnit/JoinStep paths.
 
+#include "join_oracle.h"
+
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -198,11 +200,9 @@ TEST(MatchParallel, ProbeJoinMatchesEagerExpansion) {
       const std::vector<UnitMatches> stars =
           MatchTranslated(f, *qo, units, 1);
 
-      JoinOptions eager;
-      eager.eager_expansion = true;
       JoinDiagnostics eager_diag;
-      auto eager_rin = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(),
-                                       eager, &eager_diag);
+      auto eager_rin = join_oracle::EagerJoin(
+          stars, f.kag.avt, qo->NumVertices(), JoinOptions{}, &eager_diag);
       ASSERT_TRUE(eager_rin.ok()) << eager_rin.status();
 
       JoinOptions probe;
@@ -224,7 +224,7 @@ TEST(MatchParallel, ProbeJoinMatchesEagerExpansion) {
 TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
   // The join no longer runs a global sort-dedup over Rin: rows must be
   // distinct by construction. Re-deduplicating a copy must not shrink it,
-  // and the opt-in sorted_output must be the same set in sorted order.
+  // and the eager oracle, sorted, must be the same set in sorted order.
   const CloudFixture f = MakeFixture(3);
   Rng rng(95);
   size_t nonempty = 0;
@@ -250,10 +250,10 @@ TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
     EXPECT_EQ(deduped.NumMatches(), rin->NumMatches())
         << "trial " << trial << " emitted duplicate rows";
 
-    options.sorted_output = true;
-    auto sorted = JoinUnitMatches(stars, f.kag.avt, qo->NumVertices(),
-                                  options);
+    auto sorted = join_oracle::EagerJoin(stars, f.kag.avt, qo->NumVertices(),
+                                         options);
     ASSERT_TRUE(sorted.ok()) << sorted.status();
+    sorted->SortDedup();
     EXPECT_TRUE(*sorted == deduped) << "trial " << trial;
   }
   EXPECT_GE(nonempty, 1u);
@@ -382,17 +382,17 @@ TEST(MatchParallel, OverflowStillRecordsPeakRows) {
 }
 
 TEST(MatchParallel, ZeroMatchAnchorSkipsAllJoinWork) {
-  // An empty star empties the result; the join must return before hashing
-  // (or, eagerly, expanding) any other star.
+  // An empty star empties the result; the join (and the eager oracle) must
+  // return before hashing any other star.
   const Avt avt = IdentityAvt(20);
   const std::vector<UnitMatches> stars = {
       MakeStar({0, 1}, {}),
       MakeStar({1, 2}, {{1, 2}, {3, 4}, {5, 6}})};
   for (const bool eager : {false, true}) {
-    JoinOptions options;
-    options.eager_expansion = eager;
     JoinDiagnostics diagnostics;
-    auto joined = JoinUnitMatches(stars, avt, 3, options, &diagnostics);
+    auto joined =
+        eager ? join_oracle::EagerJoin(stars, avt, 3, {}, &diagnostics)
+              : JoinUnitMatches(stars, avt, 3, {}, &diagnostics);
     ASSERT_TRUE(joined.ok()) << joined.status();
     EXPECT_EQ(joined->NumMatches(), 0u);
     EXPECT_EQ(diagnostics.join_steps, 0u);

@@ -134,6 +134,45 @@ TEST(ObservabilityE2e, QueryPopulatesPipelineMetrics) {
             static_cast<uint64_t>(outcome.cloud.num_stars));
 }
 
+TEST(ObservabilityE2e, ShardedQueriesFeedCloudMetrics) {
+  // A sharded cloud runs the same query driver as the single server, so
+  // its queries land in the same ppsm_cloud_* counters.
+  MetricsRegistry::Global().Reset();
+  const auto g = GenerateDataset(DbpediaLike(0.01));
+  ASSERT_TRUE(g.ok());
+  SystemConfig config;
+  config.k = 2;
+  config.num_shards = 2;
+  auto system = PpsmSystem::Setup(*g, g->schema(), config);
+  ASSERT_TRUE(system.ok()) << system.status();
+  ASSERT_NE(system->cluster(), nullptr);
+
+  // Three distinct queries, each served twice: the repeats hit the plan
+  // cache, the first runs miss it.
+  std::vector<QueryRequest> workload;
+  Rng rng(31);
+  for (int i = 0; i < 3; ++i) {
+    auto extracted = ExtractQuery(*g, 3 + i, rng);
+    ASSERT_TRUE(extracted.ok());
+    QueryRequest request;
+    request.pattern = extracted->query;
+    workload.push_back(request);
+    workload.push_back(std::move(request));
+  }
+  const double queries = CounterValue("ppsm_cloud_queries_total");
+  const double hits = CounterValue("ppsm_cloud_plan_cache_hits_total");
+  const double misses = CounterValue("ppsm_cloud_plan_cache_misses_total");
+  for (const QueryRequest& request : workload) {
+    const QueryResponse outcome = system->Execute(request);
+    ASSERT_TRUE(outcome.ok()) << outcome.status;
+    EXPECT_EQ(outcome.cloud.shards.size(), 2u);
+  }
+  EXPECT_EQ(CounterValue("ppsm_cloud_queries_total") - queries,
+            static_cast<double>(workload.size()));
+  EXPECT_GE(CounterValue("ppsm_cloud_plan_cache_hits_total") - hits, 3.0);
+  EXPECT_GE(CounterValue("ppsm_cloud_plan_cache_misses_total") - misses, 1.0);
+}
+
 TEST(ObservabilityE2e, FailedQueriesStayVisibleInMetrics) {
   MetricsRegistry::Global().Reset();
   const RunningExample ex = MakeRunningExample();

@@ -133,9 +133,7 @@ TEST(UnitPipeline, ShardsByteIdenticalWithDeepUnits) {
 
   bool saw_deep_unit = false;
   for (const uint32_t num_shards : {1u, 2u, 4u}) {
-    ClusterConfig config;
-    config.num_shards = num_shards;
-    auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), config);
+    auto cluster = CloudCluster::Host(fx.owner.upload_bytes(), num_shards);
     ASSERT_TRUE(cluster.ok()) << cluster.status();
 
     for (size_t i = 0; i < fx.requests.size(); ++i) {
