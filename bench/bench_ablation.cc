@@ -70,7 +70,7 @@ void AblateRinTransfer(const BenchDataset& dataset, size_t queries) {
       exec_request.pattern = extracted->query;
       const QueryResponse outcome = system->Execute(exec_request);
       if (!outcome.ok()) continue;
-      rin_bytes += static_cast<double>(outcome.response_bytes);
+      rin_bytes += static_cast<double>(outcome.cloud.response_bytes);
       // Full transfer: expand Rin to R(Qo,Gk) and serialize that instead.
       auto qo = system->owner().AnonymizeQuery(extracted->query);
       if (!qo.ok()) continue;

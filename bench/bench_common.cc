@@ -88,17 +88,17 @@ Result<QueryAggregates> RunQueryBatch(PpsmSystem& system,
       return outcome.status;
     }
     ++completed;
-    agg.cloud_ms += outcome.cloud.total_ms;
+    agg.cloud_ms += outcome.cloud.cloud_ms;
     agg.decomposition_ms += outcome.cloud.decomposition_ms;
     agg.star_matching_ms += outcome.cloud.star_matching_ms;
     agg.join_ms += outcome.cloud.join_ms;
-    agg.client_ms += outcome.client_ms;
-    agg.network_ms += outcome.network_ms;
-    agg.total_ms += outcome.total_ms;
+    agg.client_ms += outcome.cloud.client_ms;
+    agg.network_ms += outcome.cloud.network_ms;
+    agg.total_ms += outcome.cloud.total_ms;
     agg.rs_size += static_cast<double>(outcome.cloud.rs_size);
     agg.result_rows += static_cast<double>(outcome.cloud.result_rows);
-    agg.response_bytes += static_cast<double>(outcome.response_bytes);
-    agg.candidates += static_cast<double>(outcome.client_candidates);
+    agg.response_bytes += static_cast<double>(outcome.cloud.response_bytes);
+    agg.candidates += static_cast<double>(outcome.cloud.client_candidates);
     agg.final_results += static_cast<double>(outcome.matches.NumMatches());
   }
   if (completed == 0) {

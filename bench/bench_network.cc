@@ -73,10 +73,10 @@ void RunLive(double scale, size_t queries) {
     live_rtt_ms += rtt_ms;
     // Compute share of the round trip (cloud evaluation + Algorithm 3
     // post-processing both run server-side); the rest is real wire cost.
-    compute_ms += reply->cloud.total_ms + reply->client_ms;
-    sim_network_ms += reply->network_ms;
-    sim_request_bytes += static_cast<double>(reply->request_bytes);
-    sim_response_bytes += static_cast<double>(reply->response_bytes);
+    compute_ms += reply->cloud.cloud_ms + reply->cloud.client_ms;
+    sim_network_ms += reply->cloud.network_ms;
+    sim_request_bytes += static_cast<double>(reply->cloud.request_bytes);
+    sim_response_bytes += static_cast<double>(reply->cloud.response_bytes);
     // What actually crossed the socket: the framed codec payloads.
     wire_request_bytes += static_cast<double>(
         kFrameHeaderBytes + SerializeQueryRequest(request).size());

@@ -66,7 +66,7 @@ void Run() {
         request.pattern = extracted->query;
         const QueryResponse outcome = system->Execute(request);
         if (!outcome.ok()) continue;
-        cloud_ms += outcome.cloud.total_ms;
+        cloud_ms += outcome.cloud.cloud_ms;
         rs += static_cast<double>(outcome.cloud.rs_size);
         rin += static_cast<double>(outcome.cloud.result_rows);
         answers += static_cast<double>(outcome.matches.NumMatches());

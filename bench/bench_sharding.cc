@@ -211,7 +211,7 @@ int Run() {
                        num_shards);
           return 1;
         }
-        cell.result_rows += got->stats.result_rows;
+        cell.result_rows += got->profile.result_rows;
         if (got->response_payload != want->response_payload) {
           cell.identical = false;
         }

@@ -80,10 +80,10 @@ int main(int argc, char** argv) {
       std::cerr << "BUG: EFF and BAS disagree on exact results!\n";
       return 1;
     }
-    cloud_ms[0] += eff.cloud.total_ms;
-    cloud_ms[1] += bas.cloud.total_ms;
-    bytes[0] += static_cast<double>(eff.response_bytes);
-    bytes[1] += static_cast<double>(bas.response_bytes);
+    cloud_ms[0] += eff.cloud.cloud_ms;
+    cloud_ms[1] += bas.cloud.cloud_ms;
+    bytes[0] += static_cast<double>(eff.cloud.response_bytes);
+    bytes[1] += static_cast<double>(bas.cloud.response_bytes);
     results[0] += static_cast<double>(eff.matches.NumMatches());
     results[1] += static_cast<double>(bas.matches.NumMatches());
     ++answered;

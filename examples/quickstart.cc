@@ -65,8 +65,8 @@ int main() {
     }
     std::cout << "\n";
   }
-  std::cout << "\nTimings: cloud=" << response.cloud.total_ms
-            << "ms network=" << response.network_ms
-            << "ms client=" << response.client_ms << "ms\n";
+  std::cout << "\nTimings: cloud=" << response.cloud.cloud_ms
+            << "ms network=" << response.cloud.network_ms
+            << "ms client=" << response.cloud.client_ms << "ms\n";
   return 0;
 }

@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
       request.pattern = query;
       const QueryResponse response = system->Execute(request);
       if (!response.ok()) continue;
-      cloud_ms += response.cloud.total_ms;
-      client_ms += response.client_ms;
+      cloud_ms += response.cloud.cloud_ms;
+      client_ms += response.cloud.client_ms;
       ++answered;
       // Verify exactness against the reference matcher on G.
       const MatchSet truth = FindSubgraphMatches(query, *graph);

@@ -24,8 +24,8 @@ constexpr size_t kMaxRows = 2'000'000;
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// Handles into the global registry, resolved once. CloudQueryStats stays
-/// the per-query view returned to callers; these accumulate across queries
+/// Handles into the global registry, resolved once. QueryProfile stays the
+/// per-query view returned to callers; these accumulate across queries
 /// for export (DESIGN.md "Observability").
 struct CloudMetrics {
   MetricsRegistry::Counter queries;
@@ -151,28 +151,29 @@ PlanCacheStats CloudQueryDriver::plan_cache_stats() const {
 
 Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
                                            const QueryContext& ctx) const {
-  // Per-query stats, filled as the phases run and published to ctx.stats on
-  // EVERY return path — failure included — via this scope guard. The
-  // Result<WireAnswer> cannot carry stats on an error, and the failed queries
-  // are exactly the ones the flight recorder needs full accounting for.
-  CloudQueryStats stats;
-  stats.query_id =
+  // The query's profile, filled as the phases run and published to
+  // ctx.profile on EVERY return path — failure included — via this scope
+  // guard. The Result<WireAnswer> cannot carry a profile on an error, and the
+  // failed queries are exactly the ones the flight recorder needs full
+  // accounting for.
+  QueryProfile profile;
+  profile.query_id =
       ctx.query_id != 0 ? ctx.query_id : FlightRecorder::NextQueryId();
-  stats.queue_wait_ms = ctx.queue_wait_ms;
-  struct StatsPublisher {
-    CloudQueryStats* from;
-    CloudQueryStats* to;
-    ~StatsPublisher() {
+  profile.queue_wait_ms = ctx.queue_wait_ms;
+  struct ProfilePublisher {
+    QueryProfile* from;
+    QueryProfile* to;
+    ~ProfilePublisher() {
       if (to != nullptr) *to = *from;
     }
-  } publisher{&stats, ctx.stats};
+  } publisher{&profile, ctx.profile};
 
   WallTimer total_timer;
   const SteadyClock::time_point deadline = ctx.deadline;
   const bool has_deadline = deadline != SteadyClock::time_point::max();
   const auto timeout = [&](const char* phase) {
-    stats.timed_out_phase = phase;
-    stats.total_ms = total_timer.ElapsedMillis();
+    profile.timed_out_phase = phase;
+    profile.cloud_ms = total_timer.ElapsedMillis();
     return MakeDeadlineExceeded(phase);
   };
   if (has_deadline && SteadyClock::now() >= deadline) {
@@ -186,7 +187,7 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
 
   WireAnswer answer;
   TraceSpan query_span(Tracer::Global(), "cloud.answer_query", "query");
-  query_span.AddArg("query_id", stats.query_id);
+  query_span.AddArg("query_id", profile.query_id);
   const CloudMetrics& metrics = CloudMetrics::Get();
 
   // Phase 1: cost-model query decomposition (exact ILP) over generalized
@@ -213,7 +214,7 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   UnitDecomposition decomposition;
   if (cached.has_value()) {
     decomposition = *std::move(cached);
-    stats.plan_cache_hit = true;
+    profile.plan_cache_hit = true;
     metrics.plan_cache_hits.Increment();
   } else {
     Result<UnitDecomposition> decomposition_or = [&] {
@@ -230,9 +231,9 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
           static_cast<double>(plan_cache_->plans.size()));
     }
   }
-  stats.decomposition_ms = phase_timer.ElapsedMillis();
-  stats.num_stars = decomposition.units.size();
-  metrics.decomposition_ms.Observe(stats.decomposition_ms);
+  profile.decomposition_ms = phase_timer.ElapsedMillis();
+  profile.num_stars = decomposition.units.size();
+  metrics.decomposition_ms.Observe(profile.decomposition_ms);
   metrics.stars.Increment(decomposition.units.size());
   if (has_deadline && SteadyClock::now() >= deadline) {
     return timeout("after decomposition");
@@ -257,10 +258,10 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   }
   Result<std::vector<UnitMatches>> stars_or = [&] {
     TraceSpan span(Tracer::Global(), "cloud.star_match", "query");
-    span.AddArg("query_id", stats.query_id);
+    span.AddArg("query_id", profile.query_id);
     span.AddArg("num_stars", static_cast<uint64_t>(
                                  decomposition.units.size()));
-    return MatchUnitRows(qo, decomposition.units, unit_options, &stats);
+    return MatchUnitRows(qo, decomposition.units, unit_options, &profile);
   }();
   PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> stars, std::move(stars_or));
   // Per-unit profiles (the cost-model calibration inputs) are filled before
@@ -268,28 +269,28 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   // what its units did.
   const bool estimates_aligned =
       decomposition.estimates.size() == stars.size();
-  stats.stars.reserve(stars.size());
+  profile.stars.reserve(stars.size());
   bool star_truncated = false;
   for (size_t i = 0; i < stars.size(); ++i) {
-    UnitProfile profile;
-    profile.center = static_cast<uint32_t>(stars[i].center);
-    profile.candidates = stars[i].num_candidates;
-    profile.rows = stars[i].matches.NumMatches();
-    profile.estimated_rows =
+    UnitProfile unit;
+    unit.center = static_cast<uint32_t>(stars[i].center);
+    unit.candidates = stars[i].num_candidates;
+    unit.rows = stars[i].matches.NumMatches();
+    unit.estimated_rows =
         estimates_aligned ? decomposition.estimates[i] : 0.0;
-    profile.truncated = stars[i].truncated;
-    profile.skipped = stars[i].skipped;
-    profile.kind = UnitKindName(stars[i].kind);
+    unit.truncated = stars[i].truncated;
+    unit.skipped = stars[i].skipped;
+    unit.kind = UnitKindName(stars[i].kind);
     star_truncated = star_truncated || stars[i].truncated;
-    stats.stars.push_back(profile);
+    profile.stars.push_back(std::move(unit));
   }
-  stats.aux_build_ms = phase_stats.aux_build_ms;
-  stats.aux_bytes = phase_stats.aux_bytes;
-  stats.intersect_scalar =
+  profile.aux_build_ms = phase_stats.aux_build_ms;
+  profile.aux_bytes = phase_stats.aux_bytes;
+  profile.intersect_scalar =
       phase_stats.intersect_scalar.load(std::memory_order_relaxed);
-  stats.intersect_galloping =
+  profile.intersect_galloping =
       phase_stats.intersect_galloping.load(std::memory_order_relaxed);
-  stats.intersect_simd =
+  profile.intersect_simd =
       phase_stats.intersect_simd.load(std::memory_order_relaxed);
   if (has_deadline && SteadyClock::now() >= deadline) {
     return timeout("during star matching");
@@ -309,18 +310,18 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
       translated.Append(row);
     }
     star.matches = std::move(translated);
-    stats.rs_size += star.matches.NumMatches();
+    profile.rs_size += star.matches.NumMatches();
   }
-  stats.star_matching_ms = phase_timer.ElapsedMillis();
-  metrics.star_matching_ms.Observe(stats.star_matching_ms);
-  metrics.rs_rows.Increment(stats.rs_size);
+  profile.star_matching_ms = phase_timer.ElapsedMillis();
+  metrics.star_matching_ms.Observe(profile.star_matching_ms);
+  metrics.rs_rows.Increment(profile.rs_size);
   if (star_truncated) {
     // Row cap fired during star matching (the deadline case returned
     // above): the match sets are incomplete, so exact answering is off the
     // table. Same status the join would produce, but with the overflow
     // attributed to the phase that caused it.
-    stats.overflowed = true;
-    stats.total_ms = total_timer.ElapsedMillis();
+    profile.overflowed = true;
+    profile.cloud_ms = total_timer.ElapsedMillis();
     return Status::ResourceExhausted(
         "star match set was truncated; join would be incomplete");
   }
@@ -339,15 +340,15 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   JoinDiagnostics join_diag;
   Result<MatchSet> rin_or = [&] {
     TraceSpan span(Tracer::Global(), "cloud.join", "query");
-    span.AddArg("query_id", stats.query_id);
-    span.AddArg("rs_size", static_cast<uint64_t>(stats.rs_size));
+    span.AddArg("query_id", profile.query_id);
+    span.AddArg("rs_size", static_cast<uint64_t>(profile.rs_size));
     return JoinUnitMatches(stars, avt_, qo.NumVertices(), join_options,
                            &join_diag);
   }();
-  stats.join_ms = phase_timer.ElapsedMillis();
-  stats.join_steps = std::move(join_diag.steps);
-  stats.peak_join_rows = join_diag.peak_rows;
-  for (const JoinStepProfile& step : stats.join_steps) {
+  profile.join_ms = phase_timer.ElapsedMillis();
+  profile.join_steps = std::move(join_diag.steps);
+  profile.peak_join_rows = join_diag.peak_rows;
+  for (const JoinStepProfile& step : profile.join_steps) {
     if (step.estimated_rows > 0.0 && !step.overflow) {
       metrics.join_estimate_ratio.Observe(
           (step.estimated_rows + 1.0) /
@@ -356,24 +357,24 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   }
   if (!rin_or.ok()) {
     if (rin_or.status().code() == StatusCode::kResourceExhausted) {
-      stats.overflowed = true;  // A join step hit the row cap.
+      profile.overflowed = true;  // A join step hit the row cap.
     }
-    stats.total_ms = total_timer.ElapsedMillis();
+    profile.cloud_ms = total_timer.ElapsedMillis();
     return rin_or.status();
   }
   const MatchSet rin = std::move(rin_or).value();
-  metrics.join_ms.Observe(stats.join_ms);
+  metrics.join_ms.Observe(profile.join_ms);
 
-  stats.result_rows = rin.NumMatches();
+  profile.result_rows = rin.NumMatches();
   answer.response_payload = rin.Serialize();
-  stats.total_ms = total_timer.ElapsedMillis();
-  metrics.result_rows.Increment(stats.result_rows);
-  metrics.query_ms.Observe(stats.total_ms);
+  profile.cloud_ms = total_timer.ElapsedMillis();
+  metrics.result_rows.Increment(profile.result_rows);
+  metrics.query_ms.Observe(profile.cloud_ms);
   metrics.queries.Increment();
   query_span.AddArg("result_rows",
-                    static_cast<uint64_t>(stats.result_rows));
-  query_span.AddArg("total_ms", stats.total_ms);
-  answer.stats = stats;
+                    static_cast<uint64_t>(profile.result_rows));
+  query_span.AddArg("total_ms", profile.cloud_ms);
+  answer.profile = profile;
   return answer;
 }
 
@@ -469,7 +470,7 @@ RootDegrees CloudServer::RootCandidateDegrees(
 
 Result<std::vector<UnitMatches>> CloudServer::MatchUnitRows(
     const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-    const UnitMatchOptions& options, CloudQueryStats* /*stats*/) const {
+    const UnitMatchOptions& options, QueryProfile* /*profile*/) const {
   return MatchUnits(data_, index_, qo, units, options);
 }
 

@@ -80,22 +80,20 @@ struct PlanCacheStats {
 /// Thread-safety: a hosted driver is immutable — Serve is const and any
 /// number of threads may call it concurrently (the plan cache is the only
 /// shared mutable state and sits behind its own mutex). Concurrent admission
-/// control and batching live in cloud/query_service.h.
-class CloudQueryDriver : public QueryHandler {
+/// control and batching live in cloud/query_service.h, which fronts a driver
+/// without knowing which host it is.
+class CloudQueryDriver {
  public:
   // Movable, not copyable. Out-of-line because PlanCache is incomplete here.
-  ~CloudQueryDriver() override;
+  virtual ~CloudQueryDriver();
   CloudQueryDriver(CloudQueryDriver&&) noexcept;
   CloudQueryDriver& operator=(CloudQueryDriver&&) noexcept;
 
-  /// The one query entry point (QueryHandler): evaluates a serialized Qo
-  /// under the given context. ctx.stats, when set, is filled on every
-  /// return path — failure included.
+  /// The one query entry point: evaluates a serialized Qo under the given
+  /// context. ctx.profile, when set, is filled on every return path —
+  /// failure included; the cloud's total goes to its cloud_ms.
   Result<WireAnswer> Serve(std::span<const uint8_t> qo_bytes,
-                           const QueryContext& ctx = {}) const final;
-  ServiceLimits limits() const override {
-    return {config_.max_inflight, config_.query_deadline_ms};
-  }
+                           const QueryContext& ctx = {}) const;
 
   const CloudConfig& config() const { return config_; }
   /// Matching and join workers per query (config().num_threads, >= 1).
@@ -132,10 +130,10 @@ class CloudQueryDriver : public QueryHandler {
   /// Matching step: one UnitMatches per unit, aligned with `units`, rows in
   /// Go-local ids. `options` carries the driver's row cap, worker count,
   /// matcher knobs, phase counters and deadline cancellation; a host may
-  /// fill host-specific fields of `stats` (the cluster's shard profiles).
+  /// fill host-specific fields of `profile` (the cluster's shard profiles).
   virtual Result<std::vector<UnitMatches>> MatchUnitRows(
       const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-      const UnitMatchOptions& options, CloudQueryStats* stats) const = 0;
+      const UnitMatchOptions& options, QueryProfile* profile) const = 0;
 
   CloudConfig config_;
   uint32_t hops_ = 1;
@@ -195,7 +193,7 @@ class CloudServer : public CloudQueryDriver {
   Result<std::vector<UnitMatches>> MatchUnitRows(
       const AttributedGraph& qo, const std::vector<QueryUnit>& units,
       const UnitMatchOptions& options,
-      CloudQueryStats* stats) const override;
+      QueryProfile* profile) const override;
 
   bool baseline_ = false;
   AttributedGraph data_;           // Go (compact ids) or Gk.

@@ -320,7 +320,7 @@ RootDegrees CloudCluster::RootCandidateDegrees(
 
 Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
     const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-    const UnitMatchOptions& options, CloudQueryStats* stats) const {
+    const UnitMatchOptions& options, QueryProfile* profile) const {
   const ClusterMetrics& metrics = ClusterMetrics::Get();
   // Shard-local unit matching. Every shard matches the same units over its
   // slice, restricted to its owned candidate roots; rows come back in
@@ -329,7 +329,7 @@ Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
   // order and is not monotone). The phase counters in `options` aggregate
   // across shards: each shard builds its own slice-local aux graph.
   std::vector<std::vector<UnitMatches>> shard_rows(shards_.size());
-  stats->shards.resize(shards_.size());
+  profile->shards.resize(shards_.size());
   // The wire codec ships rows/columns only, so the skipped flag (like the
   // unit kind below) must be captured before the exchange. A unit is
   // reported skipped when every shard skipped it — a shard that ran it
@@ -344,14 +344,14 @@ Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
     };
     shard_rows[s] = [&] {
       TraceSpan span(Tracer::Global(), "cluster.shard_match", "query");
-      span.AddArg("query_id", stats->query_id);
+      span.AddArg("query_id", profile->query_id);
       span.AddArg("shard", static_cast<uint64_t>(s));
       return MatchUnits(shards_[s].data(), shards_[s].index(), qo, units,
                         shard_options);
     }();
     const std::vector<VertexId>& to_global = to_global_[s];
-    ShardProfile& profile = stats->shards[s];
-    profile.shard = static_cast<uint32_t>(s);
+    ShardProfile& shard = profile->shards[s];
+    shard.shard = static_cast<uint32_t>(s);
     for (size_t i = 0; i < shard_rows[s].size(); ++i) {
       UnitMatches& unit = shard_rows[s][i];
       MatchSet translated(unit.matches.arity());
@@ -365,12 +365,12 @@ Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
         translated.Append(row);
       }
       unit.matches = std::move(translated);
-      profile.candidates += unit.num_candidates;
-      profile.rows += unit.matches.NumMatches();
+      shard.candidates += unit.num_candidates;
+      shard.rows += unit.matches.NumMatches();
       if (!unit.skipped) skipped[i] = 0;
     }
-    profile.match_ms = shard_timer.ElapsedMillis();
-    metrics.shard_rows.Observe(static_cast<double>(profile.rows));
+    shard.match_ms = shard_timer.ElapsedMillis();
+    metrics.shard_rows.Observe(static_cast<double>(shard.rows));
   }
 
   // BSP exchange — every shard but the coordinator-colocated shard 0 ships
@@ -386,8 +386,8 @@ Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
                           &exchange);
     }();
     PPSM_ASSIGN_OR_RETURN(shard_rows[s], std::move(shipped_or));
-    stats->shards[s].exchange_ms = exchange.transfer_ms;
-    stats->shards[s].exchanged_bytes = exchange.bytes;
+    profile->shards[s].exchange_ms = exchange.transfer_ms;
+    profile->shards[s].exchanged_bytes = exchange.bytes;
     metrics.exchanged_bytes.Increment(exchange.bytes);
     metrics.exchange_ms.Observe(exchange.transfer_ms);
   }

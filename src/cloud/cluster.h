@@ -87,7 +87,7 @@ class CloudCluster : public CloudQueryDriver {
   Result<std::vector<UnitMatches>> MatchUnitRows(
       const AttributedGraph& qo, const std::vector<QueryUnit>& units,
       const UnitMatchOptions& options,
-      CloudQueryStats* stats) const override;
+      QueryProfile* profile) const override;
 
   std::vector<CloudServer> shards_;
   /// Exchange link of each shard; entry 0 exists but is never charged (the

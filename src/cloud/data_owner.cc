@@ -1,14 +1,10 @@
 #include "cloud/data_owner.h"
 
-#include <condition_variable>
-#include <mutex>
-
 #include "cloud/cluster.h"
 #include "kauto/outsourced_graph.h"
 #include "match/result_join.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ppsm {
@@ -154,11 +150,11 @@ Result<DataOwner> DataOwner::Create(AttributedGraph graph,
   owner.setup_stats_.noise_vertices = owner.kag_.NumNoiseVertices();
   owner.setup_stats_.noise_edges = owner.kag_.NumNoiseEdges();
 
-  // Upload package and client-side filter index.
+  // Upload package.
   phase_timer.Restart();
   {
     PPSM_TRACE_SPAN_CAT("setup.upload_build", "setup");
-    PPSM_RETURN_IF_ERROR(owner.BuildUploadAndIndex(threads));
+    PPSM_RETURN_IF_ERROR(owner.BuildUpload(threads));
   }
   owner.setup_stats_.go_ms = phase_timer.ElapsedMillis();
   owner.setup_stats_.total_ms = total_timer.ElapsedMillis();
@@ -209,84 +205,34 @@ Result<DataOwner> DataOwner::Restore(AttributedGraph graph,
   owner.setup_stats_.gk_edges = owner.kag_.gk.NumEdges();
   owner.setup_stats_.noise_vertices = owner.kag_.NumNoiseVertices();
   owner.setup_stats_.noise_edges = owner.kag_.NumNoiseEdges();
-  PPSM_RETURN_IF_ERROR(owner.BuildUploadAndIndex(/*num_threads=*/1));
+  PPSM_RETURN_IF_ERROR(owner.BuildUpload(/*num_threads=*/1));
   return owner;
 }
 
-Status DataOwner::BuildUploadAndIndex(size_t num_threads) {
-  // The upload package and the client-side edge filter read disjoint state
-  // (kag_/lct_ vs graph_) and are built concurrently; upload_bytes_ itself
-  // never depends on the thread count.
-  Status package_status = Status::OK();
-  const auto build_package = [&] {
-    PPSM_TRACE_SPAN_CAT("setup.upload_package", "setup");
-    UploadPackage package;
-    package.k = kag_.avt.k();
-    package.num_types = static_cast<uint32_t>(schema_->NumTypes());
-    package.type_of_group.reserve(lct_.NumGroups());
-    for (GroupId g = 0; g < lct_.NumGroups(); ++g) {
-      package.type_of_group.push_back(lct_.TypeOfGroup(g));
-    }
-    if (baseline_) {
-      package.full_gk = kag_.gk;
-      setup_stats_.go_vertices = kag_.gk.NumVertices();
-      setup_stats_.go_edges = kag_.gk.NumEdges();
-    } else {
-      auto go_or = BuildOutsourcedGraph(kag_, num_threads, go_hops_);
-      if (!go_or.ok()) {
-        package_status = go_or.status();
-        return;
-      }
-      OutsourcedGraph go = std::move(go_or).value();
-      setup_stats_.go_vertices = go.graph.NumVertices();
-      setup_stats_.go_edges = go.graph.NumEdges();
-      package.go = std::move(go);
-      package.avt = kag_.avt;
-    }
-    upload_bytes_ = package.Serialize();
-    setup_stats_.upload_bytes = upload_bytes_.size();
-  };
-  const auto build_index = [&] {
-    // The client-side O(1) edge filter (§4.2.2).
-    PPSM_TRACE_SPAN_CAT("setup.edge_index", "setup");
-    edge_keys_.clear();
-    edge_keys_.reserve(graph_.NumEdges() * 2);
-    graph_.ForEachEdge([this](VertexId u, VertexId v) {
-      edge_keys_.insert(UndirectedEdgeKey(u, v));
-    });
-  };
-  if (num_threads > 1 && !ThreadPool::InWorkerThread()) {
-    // The index goes to the pool; the package stays on this thread so the
-    // nested Go-extraction ParallelFor is not demoted to a worker (where it
-    // would degrade to a serial loop).
-    std::mutex mu;
-    std::condition_variable cv;
-    bool index_done = false;
-    ThreadPool& pool = ThreadPool::Shared();
-    pool.Submit([&] {
-      build_index();
-      // Notify under the lock: cv lives on the caller's stack, and the
-      // caller may destroy it the moment it can observe index_done.
-      std::lock_guard<std::mutex> lock(mu);
-      index_done = true;
-      cv.notify_one();
-    });
-    build_package();
-    while (true) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (index_done) break;
-      }
-      if (pool.TryRunPendingTask()) continue;
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return index_done; });
-      break;
-    }
-  } else {
-    build_package();
-    build_index();
+Status DataOwner::BuildUpload(size_t num_threads) {
+  PPSM_TRACE_SPAN_CAT("setup.upload_package", "setup");
+  UploadPackage package;
+  package.k = kag_.avt.k();
+  package.num_types = static_cast<uint32_t>(schema_->NumTypes());
+  package.type_of_group.reserve(lct_.NumGroups());
+  for (GroupId g = 0; g < lct_.NumGroups(); ++g) {
+    package.type_of_group.push_back(lct_.TypeOfGroup(g));
   }
-  return package_status;
+  if (baseline_) {
+    package.full_gk = kag_.gk;
+    setup_stats_.go_vertices = kag_.gk.NumVertices();
+    setup_stats_.go_edges = kag_.gk.NumEdges();
+  } else {
+    PPSM_ASSIGN_OR_RETURN(OutsourcedGraph go,
+                          BuildOutsourcedGraph(kag_, num_threads, go_hops_));
+    setup_stats_.go_vertices = go.graph.NumVertices();
+    setup_stats_.go_edges = go.graph.NumEdges();
+    package.go = std::move(go);
+    package.avt = kag_.avt;
+  }
+  upload_bytes_ = package.Serialize();
+  setup_stats_.upload_bytes = upload_bytes_.size();
+  return Status::OK();
 }
 
 Result<ShardingPlan> DataOwner::BuildShardUploads(uint32_t num_shards,
@@ -355,11 +301,9 @@ Result<MatchSet> DataOwner::ProcessResponse(
       }
     }
     if (keep) {
+      // Edge check on G's sorted CSR (binary search on the shorter list).
       query.ForEachEdge([&](VertexId a, VertexId b) {
-        if (keep &&
-            !edge_keys_.contains(UndirectedEdgeKey(match[a], match[b]))) {
-          keep = false;
-        }
+        if (keep && !graph_.HasEdge(match[a], match[b])) keep = false;
       });
     }
     if (keep) results.Append(match);

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "anonymize/grouping.h"
@@ -12,7 +11,6 @@
 #include "graph/attributed_graph.h"
 #include "kauto/kautomorphism.h"
 #include "match/match_set.h"
-#include "util/hash.h"
 #include "util/status.h"
 
 namespace ppsm {
@@ -71,8 +69,8 @@ class DataOwner {
   /// Rebuilds an owner from previously persisted artifacts (see
   /// cloud/owner_store.h) without re-running the anonymization pipeline.
   /// Validates the pieces against each other and re-derives the outsourced
-  /// graph, upload package and client-side hash index (all deterministic
-  /// functions of the inputs). Timing fields of setup_stats() stay zero.
+  /// graph and upload package (deterministic functions of the inputs).
+  /// Timing fields of setup_stats() stay zero.
   static Result<DataOwner> Restore(AttributedGraph graph,
                                    std::shared_ptr<const Schema> schema,
                                    Lct lct, KAutomorphicGraph kag,
@@ -126,9 +124,8 @@ class DataOwner {
   DataOwner() = default;
 
   /// Shared tail of Create/Restore: builds the upload package from the
-  /// already-populated members and the client-side edge index. The two are
-  /// independent and run concurrently when `num_threads` > 1.
-  Status BuildUploadAndIndex(size_t num_threads);
+  /// already-populated members (`num_threads` drives the Go extraction).
+  Status BuildUpload(size_t num_threads);
 
   AttributedGraph graph_;
   std::shared_ptr<const Schema> schema_;
@@ -138,8 +135,6 @@ class DataOwner {
   uint32_t go_hops_ = 1;
   std::vector<uint8_t> upload_bytes_;
   SetupStats setup_stats_;
-  /// O(1) edge-existence filter over E(G) (§4.2.2's hash index).
-  std::unordered_set<uint64_t, EdgeKeyHash> edge_keys_;
 };
 
 }  // namespace ppsm

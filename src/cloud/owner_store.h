@@ -34,9 +34,9 @@ Status SaveDataOwner(const DataOwner& owner, const std::string& directory,
                      size_t num_threads = 1);
 
 /// Restores a DataOwner saved by SaveDataOwner. Re-derives the outsourced
-/// graph, upload package and client-side hash index deterministically from
-/// the stored artifacts; the restored owner produces byte-identical uploads
-/// and identical query post-processing.
+/// graph and upload package deterministically from the stored artifacts;
+/// the restored owner produces byte-identical uploads and identical query
+/// post-processing.
 Result<DataOwner> LoadDataOwner(const std::string& directory);
 
 /// Persists a sharding plan (DataOwner::BuildShardUploads) so a cluster can

@@ -1,6 +1,5 @@
 #include "cloud/query_service.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -55,7 +54,7 @@ Status AdmissionGate::Acquire(SteadyClock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mu_);
   // An already-expired budget is refused up front — the fast path below
   // used to admit such queries and burn a slot on work whose answer nobody
-  // can use (the handler would only notice the expiry mid-evaluation).
+  // can use (the cloud would only notice the expiry mid-evaluation).
   if (has_deadline && SteadyClock::now() >= deadline) {
     return Status::DeadlineExceeded("query expired in the admission queue");
   }
@@ -113,85 +112,77 @@ size_t AdmissionGate::Queued() const {
   return waiting_;
 }
 
-QueryService::QueryService(const QueryHandler* handler, ServiceLimits limits)
-    : handler_(handler),
-      limits_(limits),
+QueryService::QueryService(const CloudQueryDriver* driver)
+    : driver_(driver),
       gate_(std::make_unique<AdmissionGate>(
-          limits.max_inflight,
-          /*queue_limit=*/2 * std::max<size_t>(limits.max_inflight, 1))) {}
+          driver->config().max_inflight,
+          /*queue_limit=*/2 * driver->config().max_inflight)) {}
 
-QueryService::QueryService(const QueryHandler* handler)
-    : QueryService(handler, handler->limits()) {}
-
-Result<WireAnswer> QueryService::Execute(
-    std::span<const uint8_t> qo_bytes) const {
-  const uint64_t budget_ms = limits_.query_deadline_ms;
+Result<WireAnswer> QueryService::Execute(std::span<const uint8_t> qo_bytes,
+                                         QueryProfile* profile) const {
+  const uint64_t budget_ms = driver_->config().query_deadline_ms;
   const auto deadline =
       budget_ms == 0 ? SteadyClock::time_point::max()
                      : SteadyClock::now() + std::chrono::milliseconds(
                                                 budget_ms);
-  return Execute(qo_bytes, deadline);
+  return Execute(qo_bytes, deadline, profile);
 }
 
 Result<WireAnswer> QueryService::Execute(
-    std::span<const uint8_t> qo_bytes,
-    SteadyClock::time_point deadline) const {
+    std::span<const uint8_t> qo_bytes, SteadyClock::time_point deadline,
+    QueryProfile* profile) const {
   const ServiceMetrics& metrics = ServiceMetrics::Get();
   // The query id is minted at admission — before the gate — so even a
   // refused query has an identity in the flight recorder and span args.
-  const uint64_t query_id = FlightRecorder::NextQueryId();
+  QueryProfile filed;
+  filed.query_id = FlightRecorder::NextQueryId();
   TraceSpan span(Tracer::Global(), "cloud.query_service.execute", "query");
-  span.AddArg("query_id", query_id);
-  WallTimer wait_timer;
-  const Status admitted = gate_->Acquire(deadline);
-  if (!admitted.ok()) {
-    metrics.rejected.Increment();
-    // Refusals never reach the server, so file their profile here: the
-    // queue wait is the whole story of the query.
-    QueryProfile refusal;
-    refusal.query_id = query_id;
-    refusal.status = StatusCodeLabel(admitted.code());
-    refusal.queue_wait_ms = wait_timer.ElapsedMillis();
-    refusal.total_ms = refusal.queue_wait_ms;
-    refusal.request_bytes = qo_bytes.size();
-    if (admitted.code() == StatusCode::kDeadlineExceeded) {
-      refusal.timed_out_phase = "queue";
+  span.AddArg("query_id", filed.query_id);
+  Result<WireAnswer> answer = [&]() -> Result<WireAnswer> {
+    WallTimer wait_timer;
+    const Status admitted = gate_->Acquire(deadline);
+    if (!admitted.ok()) {
+      metrics.rejected.Increment();
+      // Refusals never reach the cloud: the queue wait is the whole story
+      // of the query.
+      filed.queue_wait_ms = wait_timer.ElapsedMillis();
+      filed.total_ms = filed.queue_wait_ms;
+      if (admitted.code() == StatusCode::kDeadlineExceeded) {
+        filed.timed_out_phase = "queue";
+      }
+      return admitted;
     }
-    // Even a refusal costs reply bytes on the wire; account the encoded
-    // error response instead of reporting 0.
-    refusal.response_bytes =
-        EncodedErrorResponseBytes(admitted, FromQueryProfile(refusal));
-    FlightRecorder::Global().Record(std::move(refusal));
-    return admitted;
-  }
-  const double queue_wait_ms = wait_timer.ElapsedMillis();
-  metrics.queue_wait_ms.Observe(queue_wait_ms);
-  metrics.admitted.Increment();
-  metrics.pool_queue_depth.Set(
-      static_cast<double>(ThreadPool::Shared().QueueDepth()));
-  QueryContext ctx;
-  ctx.query_id = query_id;
-  ctx.queue_wait_ms = queue_wait_ms;
-  ctx.deadline = deadline;
-  CloudQueryStats stats;
-  ctx.stats = &stats;
-  Result<WireAnswer> answer = [&] {
-    ScopedGaugeDelta inflight(metrics.inflight);
-    return handler_->Serve(qo_bytes, ctx);
+    const double queue_wait_ms = wait_timer.ElapsedMillis();
+    metrics.queue_wait_ms.Observe(queue_wait_ms);
+    metrics.admitted.Increment();
+    metrics.pool_queue_depth.Set(
+        static_cast<double>(ThreadPool::Shared().QueueDepth()));
+    QueryContext ctx;
+    ctx.query_id = filed.query_id;
+    ctx.queue_wait_ms = queue_wait_ms;
+    ctx.deadline = deadline;
+    ctx.profile = &filed;
+    Result<WireAnswer> served = [&] {
+      ScopedGaugeDelta inflight(metrics.inflight);
+      return driver_->Serve(qo_bytes, ctx);
+    }();
+    gate_->Release();
+    return served;
   }();
-  gate_->Release();
-  QueryProfile profile = ToQueryProfile(stats);
-  profile.request_bytes = qo_bytes.size();
+  filed.request_bytes = qo_bytes.size();
   if (answer.ok()) {
-    profile.response_bytes = answer->response_payload.size();
+    filed.response_bytes = answer->response_payload.size();
+    answer->profile = filed;
   } else {
-    profile.status = StatusCodeLabel(answer.status().code());
+    filed.status = StatusCodeLabel(answer.status().code());
     // Error replies are not free: report the bytes of the encoded error
-    // response the client actually receives (was 0 before, which made
-    // failed queries look cheaper than they are in Fig. 22-style sums).
-    profile.response_bytes = EncodedErrorResponseBytes(answer.status(), stats);
+    // response the client actually receives, refusals included (0 would
+    // make failed queries look cheaper than they are in Fig. 22-style
+    // sums).
+    filed.response_bytes = EncodedErrorResponseBytes(answer.status(), filed);
   }
-  FlightRecorder::Global().Record(std::move(profile));
+  if (profile != nullptr) *profile = filed;
+  FlightRecorder::Global().Record(std::move(filed));
   return answer;
 }
 

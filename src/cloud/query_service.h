@@ -52,36 +52,35 @@ class AdmissionGate {
   size_t waiting_ = 0;
 };
 
-/// Concurrent front door of one query handler (a single CloudServer or a
-/// sharded CloudCluster — the service does not care which): admits up to
-/// limits().max_inflight simultaneous Serve evaluations, queues up to
+/// Concurrent front door of one cloud (a single CloudServer or a sharded
+/// CloudCluster — the service does not care which): admits up to
+/// config().max_inflight simultaneous Serve evaluations, queues up to
 /// 2 * max_inflight more, refuses the rest (ResourceExhausted), and charges
-/// queue wait against the per-query deadline (limits().query_deadline_ms).
-/// Thread-safe: any number of threads may call Execute concurrently — the
-/// hosted index is immutable and plan caches carry their own locks. The
-/// service borrows the handler, which must outlive it.
+/// queue wait against the per-query deadline (config().query_deadline_ms).
+/// Every query — refusals included — gets one QueryProfile, filed with the
+/// flight recorder and handed back to the caller. Thread-safe: any number
+/// of threads may call Execute concurrently — the hosted index is immutable
+/// and plan caches carry their own locks. The service borrows the cloud,
+/// which must outlive it.
 class QueryService {
  public:
-  /// Fronts any QueryHandler under the given limits.
-  QueryService(const QueryHandler* handler, ServiceLimits limits);
-  /// Convenience: limits come from the handler itself.
-  explicit QueryService(const QueryHandler* handler);
+  explicit QueryService(const CloudQueryDriver* driver);
 
   /// Evaluates one serialized Qo under admission control, with the deadline
-  /// clock started now (queue wait counts against it).
-  Result<WireAnswer> Execute(std::span<const uint8_t> qo_bytes) const;
+  /// clock started now (queue wait counts against it). `profile`, when set,
+  /// receives the profile the service files, on every return path.
+  Result<WireAnswer> Execute(std::span<const uint8_t> qo_bytes,
+                             QueryProfile* profile = nullptr) const;
   /// Same with an explicit absolute deadline; time_point::max() disables it.
   Result<WireAnswer> Execute(
       std::span<const uint8_t> qo_bytes,
-      std::chrono::steady_clock::time_point deadline) const;
+      std::chrono::steady_clock::time_point deadline,
+      QueryProfile* profile = nullptr) const;
 
-  const QueryHandler& handler() const { return *handler_; }
-  const ServiceLimits& limits() const { return limits_; }
   const AdmissionGate& gate() const { return *gate_; }
 
  private:
-  const QueryHandler* handler_;
-  ServiceLimits limits_;
+  const CloudQueryDriver* driver_;
   // Pointer so the service stays movable (the gate holds a mutex).
   std::unique_ptr<AdmissionGate> gate_;
 };

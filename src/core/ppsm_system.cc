@@ -171,6 +171,12 @@ QueryResponse PpsmSystem::Execute(const QueryRequest& request) const {
 QueryResponse PpsmSystem::ExecuteImpl(const QueryRequest& request) const {
   QueryResponse response;
   response.tag = request.tag;
+  QueryProfile& profile = response.cloud;
+  const auto fail = [&](const Status& status) {
+    response.status = status;
+    profile.status = StatusCodeLabel(status.code());
+    return response;
+  };
   PPSM_TRACE_SPAN_CAT("query", "query");
   const SystemMetrics& metrics = SystemMetrics::Get();
 
@@ -179,63 +185,60 @@ QueryResponse PpsmSystem::ExecuteImpl(const QueryRequest& request) const {
     PPSM_TRACE_SPAN_CAT("query.anonymize", "query");
     return owner_->AnonymizeQueryToRequest(request.pattern);
   }();
-  if (!request_or.ok()) {
-    response.status = request_or.status();
-    return response;
-  }
+  if (!request_or.ok()) return fail(request_or.status());
   const std::vector<uint8_t> request_bytes = std::move(request_or).value();
   metrics.anonymize_ms.Observe(anonymize_timer.ElapsedMillis());
-  response.request_bytes = request_bytes.size();
-  response.network_ms +=
+  const double request_network_ms =
       channel_.Transfer(request_bytes.size(), "query request");
 
   // Admission control, deadline and the plan cache all live behind the
   // service — a single in-process caller takes the same path a loaded
   // multi-client deployment would. A per-request deadline overrides the
-  // service-wide one; 0 defers to it.
+  // service-wide one; 0 defers to it. The service hands back the profile it
+  // filed on every path, so a failed query keeps the phases that ran.
   Result<WireAnswer> answer_or =
       request.deadline_ms == 0
-          ? service_->Execute(request_bytes)
+          ? service_->Execute(request_bytes, &profile)
           : service_->Execute(
                 request_bytes,
                 std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(request.deadline_ms));
+                    std::chrono::milliseconds(request.deadline_ms),
+                &profile);
+  // The request leg was charged before the service replaced the record.
+  profile.network_ms = request_network_ms;
   if (!answer_or.ok()) {
     response.status = answer_or.status();
     return response;
   }
   const WireAnswer answer = std::move(answer_or).value();
-  response.cloud = answer.stats;
-  response.response_bytes = answer.response_payload.size();
-  response.network_ms +=
+  profile.network_ms +=
       channel_.Transfer(answer.response_payload.size(), "query response");
 
   DataOwner::ClientStats client;
   Result<MatchSet> results = owner_->ProcessResponse(
       request.pattern, answer.response_payload, &client);
-  if (!results.ok()) {
-    response.status = results.status();
-    return response;
-  }
+  if (!results.ok()) return fail(results.status());
   response.matches = std::move(results).value();
   if (request.options.sorted_matches) {
     response.matches.SortDedup();
   }
-  response.client_ms = client.total_ms;
-  response.client_expand_ms = client.expand_ms;
-  response.client_filter_ms = client.filter_ms;
-  response.client_candidates = client.candidates;
-  response.total_ms =
-      response.cloud.total_ms + response.network_ms + response.client_ms;
-  metrics.network_ms.Observe(response.network_ms);
-  metrics.total_ms.Observe(response.total_ms);
+  profile.client_ms = client.total_ms;
+  profile.client_expand_ms = client.expand_ms;
+  profile.client_filter_ms = client.filter_ms;
+  profile.client_candidates = client.candidates;
+  profile.total_ms = profile.cloud_ms + profile.network_ms + profile.client_ms;
+  metrics.network_ms.Observe(profile.network_ms);
+  metrics.total_ms.Observe(profile.total_ms);
   // The service filed the profile when the cloud replied; the post-cloud
   // times only exist now, so stamp them onto the record after the fact.
   FlightRecorder::Global().Annotate(
-      response.cloud.query_id, [&response](QueryProfile& profile) {
-        profile.network_ms = response.network_ms;
-        profile.client_ms = response.client_ms;
-        profile.total_ms = response.total_ms;
+      profile.query_id, [&profile](QueryProfile& recorded) {
+        recorded.network_ms = profile.network_ms;
+        recorded.client_ms = profile.client_ms;
+        recorded.client_expand_ms = profile.client_expand_ms;
+        recorded.client_filter_ms = profile.client_filter_ms;
+        recorded.client_candidates = profile.client_candidates;
+        recorded.total_ms = profile.total_ms;
       });
   return response;
 }

@@ -402,6 +402,8 @@ std::string QueryProfileToJson(const QueryProfile& profile) {
   AppendField(&out, "cloud_ms", profile.cloud_ms, &first);
   AppendField(&out, "network_ms", profile.network_ms, &first);
   AppendField(&out, "client_ms", profile.client_ms, &first);
+  AppendField(&out, "client_expand_ms", profile.client_expand_ms, &first);
+  AppendField(&out, "client_filter_ms", profile.client_filter_ms, &first);
   AppendField(&out, "total_ms", profile.total_ms, &first);
   AppendField(&out, "aux_build_ms", profile.aux_build_ms, &first);
   AppendField(&out, "aux_bytes", profile.aux_bytes, &first);
@@ -415,6 +417,7 @@ std::string QueryProfileToJson(const QueryProfile& profile) {
   AppendField(&out, "rs_size", profile.rs_size, &first);
   AppendField(&out, "result_rows", profile.result_rows, &first);
   AppendField(&out, "peak_join_rows", profile.peak_join_rows, &first);
+  AppendField(&out, "client_candidates", profile.client_candidates, &first);
   AppendField(&out, "request_bytes", profile.request_bytes, &first);
   AppendField(&out, "response_bytes", profile.response_bytes, &first);
   out.append(", \"stars\": [");
@@ -471,6 +474,12 @@ Result<QueryProfile> QueryProfileFromJson(std::string_view json) {
           PPSM_ASSIGN_OR_RETURN(profile.network_ms, cursor.ParseNumber());
         } else if (key == "client_ms") {
           PPSM_ASSIGN_OR_RETURN(profile.client_ms, cursor.ParseNumber());
+        } else if (key == "client_expand_ms") {
+          PPSM_ASSIGN_OR_RETURN(profile.client_expand_ms,
+                                cursor.ParseNumber());
+        } else if (key == "client_filter_ms") {
+          PPSM_ASSIGN_OR_RETURN(profile.client_filter_ms,
+                                cursor.ParseNumber());
         } else if (key == "total_ms") {
           PPSM_ASSIGN_OR_RETURN(profile.total_ms, cursor.ParseNumber());
         } else if (key == "aux_build_ms") {
@@ -496,13 +505,15 @@ Result<QueryProfile> QueryProfileFromJson(std::string_view json) {
           PPSM_ASSIGN_OR_RETURN(profile.result_rows, ParseU64(&cursor));
         } else if (key == "peak_join_rows") {
           PPSM_ASSIGN_OR_RETURN(profile.peak_join_rows, ParseU64(&cursor));
+        } else if (key == "client_candidates") {
+          PPSM_ASSIGN_OR_RETURN(profile.client_candidates, ParseU64(&cursor));
         } else if (key == "request_bytes") {
           PPSM_ASSIGN_OR_RETURN(profile.request_bytes, ParseU64(&cursor));
         } else if (key == "response_bytes") {
           PPSM_ASSIGN_OR_RETURN(profile.response_bytes, ParseU64(&cursor));
         } else if (key == "stars") {
           return cursor.ParseArray([&]() -> Status {
-            StarProfile star;
+            UnitProfile star;
             PPSM_RETURN_IF_ERROR(ParseStar(&cursor, &star));
             profile.stars.push_back(star);
             return Status::OK();

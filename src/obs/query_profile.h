@@ -14,9 +14,8 @@ namespace ppsm {
 /// Per-unit record of one query's unit-matching phase: how many candidate
 /// roots the index shortlisted, how many rows materialized, and what the
 /// §5.1 cost model predicted for the unit. The estimate/actual pair is the
-/// raw material of the cost-model calibration report. Historically every
-/// unit was a star (the legacy StarProfile alias below); `kind` tags the
-/// shape ("star", "path", "tree") so calibration can be reported per family.
+/// raw material of the cost-model calibration report. `kind` tags the shape
+/// ("star", "path", "tree") so calibration can be reported per family.
 struct UnitProfile {
   uint32_t center = 0;         // Query vertex id of the unit root.
   uint64_t candidates = 0;     // Candidate roots from the VBV/LBV index.
@@ -26,9 +25,6 @@ struct UnitProfile {
   bool skipped = false;        // Never matched: a sibling truncated first.
   std::string kind = "star";   // Unit shape: "star", "path" or "tree".
 };
-
-/// Legacy name from the star-only pipeline.
-using StarProfile = UnitProfile;
 
 /// Per-step record of the result join: which unit joined in, what the cost
 /// model expected of it, and what actually came out. `output_rows` across
@@ -60,17 +56,24 @@ struct ShardProfile {
   uint64_t exchanged_bytes = 0; // Serialized row payload (0 for shard 0).
 };
 
-/// The flight-recorder unit: everything one query did, end to end. Cloud
-/// phases are filled by the server, admission/queue data by the service, and
-/// network/client fields are annotated afterwards by the system facade.
+/// The one per-query record: everything one query did, end to end (the
+/// cloud/network/client split of the paper's Fig. 22). Cloud phases are
+/// filled by the cloud (CloudQueryDriver::Serve), admission/queue
+/// data and byte counts by the QueryService, and network/client fields by
+/// the system facade. The same record is the flight-recorder entry, the
+/// `cloud` member of a QueryResponse and the profile block on the wire.
 /// Failed queries carry the phases that did run plus a status string, so a
 /// DeadlineExceeded is never a stats-free error.
 struct QueryProfile {
+  /// Stable id minted at admission (or by the cloud itself for direct
+  /// calls); never 0 once the cloud saw the query. Joins the reply to span
+  /// args and the flight-recorder record.
   uint64_t query_id = 0;
   /// "ok", or the lower-cased Status code of the failure
   /// ("deadline_exceeded", "resource_exhausted", ...).
   std::string status = "ok";
-  /// Phase name at which the deadline fired; empty otherwise.
+  /// Phase name at which the deadline fired ("queue", "on admission",
+  /// "after decomposition", ...); empty otherwise.
   std::string timed_out_phase;
 
   // Admission + cloud phase wall times (milliseconds).
@@ -80,7 +83,9 @@ struct QueryProfile {
   double join_ms = 0.0;
   double cloud_ms = 0.0;    // Cloud evaluation total.
   double network_ms = 0.0;  // Simulated request + response transfer.
-  double client_ms = 0.0;   // Algorithm 3 post-processing.
+  double client_ms = 0.0;   // Algorithm 3 post-processing, total.
+  double client_expand_ms = 0.0;  // Rout expansion share of client_ms.
+  double client_filter_ms = 0.0;  // False-positive filter share.
   double total_ms = 0.0;    // End to end (0 until annotated).
   /// Query-local auxiliary graph (match/aux_graph.h): build wall time and
   /// footprint, both 0 when the aux path is disabled.
@@ -99,7 +104,8 @@ struct QueryProfile {
   uint64_t num_stars = 0;     // Selected decomposition units (any kind).
   uint64_t rs_size = 0;       // Total unit matches |RS|.
   uint64_t result_rows = 0;   // |Rin| rows returned.
-  uint64_t peak_join_rows = 0;
+  uint64_t peak_join_rows = 0;  // Largest intermediate join state.
+  uint64_t client_candidates = 0;  // |R(Qo,Gk)| the client examined.
   uint64_t request_bytes = 0;   // Serialized Qo over the channel.
   uint64_t response_bytes = 0;  // Serialized reply over the channel.
 

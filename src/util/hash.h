@@ -25,9 +25,7 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
 }
 
 /// Canonical key for an undirected edge: order-insensitive, collision-free
-/// for 32-bit vertex ids. Backs the client-side O(1) edge-existence filter
-/// (paper §4.2.2: "easy to design some hashing techniques to speed up the
-/// filtering").
+/// for 32-bit vertex ids (edge dedup sets and packed edge batches).
 inline uint64_t UndirectedEdgeKey(uint32_t u, uint32_t v) {
   if (u > v) std::swap(u, v);
   return (static_cast<uint64_t>(u) << 32) | v;

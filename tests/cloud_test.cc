@@ -161,8 +161,8 @@ TEST(CloudServer, HostsOptimizedAndAnswers) {
   ASSERT_TRUE(request.ok());
   auto answer = server->Serve(*request);
   ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_GT(answer->stats.num_stars, 0u);
-  EXPECT_GT(answer->stats.rs_size, 0u);
+  EXPECT_GT(answer->profile.num_stars, 0u);
+  EXPECT_GT(answer->profile.rs_size, 0u);
   auto rin = MatchSet::Deserialize(answer->response_payload);
   ASSERT_TRUE(rin.ok());
   EXPECT_EQ(rin->arity(), ex.query.NumVertices());

@@ -58,12 +58,12 @@ Fixture MakeFixture(uint32_t k, size_t num_queries, uint64_t seed = 11,
   return fx;
 }
 
-/// Every CloudQueryStats field both hosts fill deterministically. Left out:
+/// Every QueryProfile field both hosts fill deterministically. Left out:
 /// timings (per run), the aux footprint and kernel counters (each shard
 /// builds its own slice-local aux graph, so they sum over shards) and the
 /// shard profiles (cluster only).
-void ExpectSameDeterministicStats(const CloudQueryStats& got,
-                                  const CloudQueryStats& want) {
+void ExpectSameDeterministicStats(const QueryProfile& got,
+                                  const QueryProfile& want) {
   EXPECT_EQ(got.num_stars, want.num_stars);
   EXPECT_EQ(got.rs_size, want.rs_size);
   EXPECT_EQ(got.result_rows, want.result_rows);
@@ -126,11 +126,11 @@ TEST(Cluster, ByteIdenticalToUnshardedAtEveryShardCount) {
           auto got = cluster->Serve(request);
           ASSERT_TRUE(got.ok()) << got.status();
           EXPECT_EQ(got->response_payload, want->response_payload);
-          ExpectSameDeterministicStats(got->stats, want->stats);
+          ExpectSameDeterministicStats(got->profile, want->profile);
           if (repeat) {
-            EXPECT_TRUE(got->stats.plan_cache_hit);
+            EXPECT_TRUE(got->profile.plan_cache_hit);
           }
-          ASSERT_EQ(got->stats.shards.size(), num_shards);
+          ASSERT_EQ(got->profile.shards.size(), num_shards);
         }
       }
       EXPECT_EQ(cluster->plan_cache_stats().hits,
@@ -143,18 +143,18 @@ TEST(Cluster, ByteIdenticalToUnshardedAtEveryShardCount) {
       QueryContext ctx;
       ctx.deadline =
           std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-      CloudQueryStats want_stats;
-      ctx.stats = &want_stats;
+      QueryProfile want_profile;
+      ctx.profile = &want_profile;
       auto want = server->Serve(fx.requests[0], ctx);
-      CloudQueryStats got_stats;
-      ctx.stats = &got_stats;
+      QueryProfile got_profile;
+      ctx.profile = &got_profile;
       auto got = cluster->Serve(fx.requests[0], ctx);
       ASSERT_FALSE(want.ok());
       ASSERT_FALSE(got.ok());
       EXPECT_EQ(want.status().code(), StatusCode::kDeadlineExceeded);
       EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
-      EXPECT_EQ(want_stats.timed_out_phase, "on admission");
-      ExpectSameDeterministicStats(got_stats, want_stats);
+      EXPECT_EQ(want_profile.timed_out_phase, "on admission");
+      ExpectSameDeterministicStats(got_profile, want_profile);
     }
   }
 }
@@ -203,8 +203,8 @@ TEST(Cluster, ExchangeMetersCountShardTraffic) {
   for (const auto& request : fx.requests) {
     auto answer = cluster->Serve(request);
     ASSERT_TRUE(answer.ok()) << answer.status();
-    ASSERT_EQ(answer->stats.shards.size(), 3u);
-    for (const ShardProfile& shard : answer->stats.shards) {
+    ASSERT_EQ(answer->profile.shards.size(), 3u);
+    for (const ShardProfile& shard : answer->profile.shards) {
       if (shard.shard == 0) {
         // The coordinator is colocated with shard 0: no wire hop.
         EXPECT_EQ(shard.exchanged_bytes, 0u);

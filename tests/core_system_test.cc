@@ -38,12 +38,12 @@ TEST(PpsmSystem, ChannelChargesUploadAndQueries) {
   const QueryResponse outcome = system->Execute(request);
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(system->channel().num_messages(), 3u);  // + request + response.
-  EXPECT_EQ(outcome.request_bytes + outcome.response_bytes +
+  EXPECT_EQ(outcome.cloud.request_bytes + outcome.cloud.response_bytes +
                 system->owner().upload_bytes().size(),
             system->channel().total_bytes());
-  EXPECT_GT(outcome.network_ms, 0.0);
-  EXPECT_GE(outcome.total_ms,
-            outcome.network_ms);  // Total includes network.
+  EXPECT_GT(outcome.cloud.network_ms, 0.0);
+  EXPECT_GE(outcome.cloud.total_ms,
+            outcome.cloud.network_ms);  // Total includes network.
 }
 
 TEST(PpsmSystem, CustomChannelConfigChangesNetworkTime) {
@@ -65,7 +65,8 @@ TEST(PpsmSystem, CustomChannelConfigChangesNetworkTime) {
   const QueryResponse slow_outcome = slow_system->Execute(request);
   ASSERT_TRUE(fast_outcome.ok());
   ASSERT_TRUE(slow_outcome.ok());
-  EXPECT_GT(slow_outcome.network_ms, 100.0 * fast_outcome.network_ms);
+  EXPECT_GT(slow_outcome.cloud.network_ms,
+            100.0 * fast_outcome.cloud.network_ms);
 }
 
 TEST(PpsmSystem, DeterministicResultsForFixedSeed) {
@@ -177,7 +178,7 @@ TEST(PpsmSystem, ThetaVariants) {
     request.pattern = extracted->query;
     const QueryResponse outcome = system->Execute(request);
     ASSERT_TRUE(outcome.ok()) << "theta=" << theta;
-    EXPECT_GE(outcome.client_candidates, outcome.matches.NumMatches());
+    EXPECT_GE(outcome.cloud.client_candidates, outcome.matches.NumMatches());
   }
 }
 
@@ -223,15 +224,15 @@ TEST(PpsmSystem, CloudStatsAreConsistent) {
   request.pattern = ex.query;
   const QueryResponse outcome = system->Execute(request);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_GE(outcome.cloud.total_ms, 0.0);
+  EXPECT_GE(outcome.cloud.cloud_ms, 0.0);
   EXPECT_GT(outcome.cloud.num_stars, 0u);
   EXPECT_GE(outcome.cloud.rs_size, outcome.cloud.num_stars == 0 ? 0u : 1u);
   EXPECT_EQ(outcome.cloud.result_rows * 0 + outcome.matches.NumMatches(),
             outcome.matches.NumMatches());
   // Candidates seen by the client = k * |Rin| at most (expansion), and at
   // least |Rin|.
-  EXPECT_GE(outcome.client_candidates, outcome.cloud.result_rows);
-  EXPECT_LE(outcome.client_candidates,
+  EXPECT_GE(outcome.cloud.client_candidates, outcome.cloud.result_rows);
+  EXPECT_LE(outcome.cloud.client_candidates,
             outcome.cloud.result_rows * config.k);
 }
 

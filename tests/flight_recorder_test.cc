@@ -175,6 +175,8 @@ QueryProfile FullProfile() {
   profile.cloud_ms = 7.625;
   profile.network_ms = 1.0625;
   profile.client_ms = 0.5;
+  profile.client_expand_ms = 0.375;
+  profile.client_filter_ms = 0.0625;
   profile.total_ms = 9.1875;
   profile.plan_cache_hit = true;
   profile.overflowed = true;
@@ -182,6 +184,7 @@ QueryProfile FullProfile() {
   profile.rs_size = 1234;
   profile.result_rows = 99;
   profile.peak_join_rows = 512;
+  profile.client_candidates = 2048;
   profile.request_bytes = 321;
   profile.response_bytes = 4567;
   profile.stars = {{/*center=*/0, /*candidates=*/10, /*rows=*/7,
@@ -206,6 +209,8 @@ void ExpectProfilesEqual(const QueryProfile& a, const QueryProfile& b) {
   EXPECT_EQ(a.cloud_ms, b.cloud_ms);
   EXPECT_EQ(a.network_ms, b.network_ms);
   EXPECT_EQ(a.client_ms, b.client_ms);
+  EXPECT_EQ(a.client_expand_ms, b.client_expand_ms);
+  EXPECT_EQ(a.client_filter_ms, b.client_filter_ms);
   EXPECT_EQ(a.total_ms, b.total_ms);
   EXPECT_EQ(a.plan_cache_hit, b.plan_cache_hit);
   EXPECT_EQ(a.overflowed, b.overflowed);
@@ -213,6 +218,7 @@ void ExpectProfilesEqual(const QueryProfile& a, const QueryProfile& b) {
   EXPECT_EQ(a.rs_size, b.rs_size);
   EXPECT_EQ(a.result_rows, b.result_rows);
   EXPECT_EQ(a.peak_join_rows, b.peak_join_rows);
+  EXPECT_EQ(a.client_candidates, b.client_candidates);
   EXPECT_EQ(a.request_bytes, b.request_bytes);
   EXPECT_EQ(a.response_bytes, b.response_bytes);
   ASSERT_EQ(a.stars.size(), b.stars.size());
@@ -268,6 +274,15 @@ TEST(QueryProfileJson, UnknownKeysAreIgnored) {
   ASSERT_EQ(old_log->join_steps.size(), 1u);
   EXPECT_EQ(old_log->join_steps[0].step, 1u);
   EXPECT_EQ(old_log->join_steps[0].output_rows, 5u);
+
+  // Logs written before the client split joined the record lack its keys;
+  // they parse with the split at zero.
+  auto no_client_split = QueryProfileFromJson(
+      "{\"query_id\": 9, \"client_ms\": 1.5, \"total_ms\": 4}");
+  ASSERT_TRUE(no_client_split.ok()) << no_client_split.status();
+  EXPECT_EQ(no_client_split->client_ms, 1.5);
+  EXPECT_EQ(no_client_split->client_expand_ms, 0.0);
+  EXPECT_EQ(no_client_split->client_candidates, 0u);
 }
 
 TEST(QueryProfileJson, MalformedInputIsTypedError) {
@@ -326,7 +341,7 @@ TEST(Calibration, PercentilesFromKnownRatios) {
   std::vector<QueryProfile> profiles;
   QueryProfile profile;
   for (int i = 0; i < 4; ++i) {
-    StarProfile star;
+    UnitProfile star;
     star.rows = 9;
     star.estimated_rows = 19.0;  // (19+1)/(9+1) = 2.
     profile.stars.push_back(star);
@@ -336,10 +351,10 @@ TEST(Calibration, PercentilesFromKnownRatios) {
     profile.join_steps.push_back(step);
   }
   // Excluded samples: no estimate, truncated star, overflowed step.
-  StarProfile no_estimate;
+  UnitProfile no_estimate;
   no_estimate.rows = 5;
   profile.stars.push_back(no_estimate);
-  StarProfile truncated;
+  UnitProfile truncated;
   truncated.rows = 1;
   truncated.estimated_rows = 100.0;
   truncated.truncated = true;

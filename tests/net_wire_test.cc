@@ -199,5 +199,46 @@ TEST(Wire, ErrorQueryResponseRoundTripsAndSizesConsistently) {
   EXPECT_TRUE(decoded->matches.empty());
 }
 
+// A served reply carries the query's whole profile — cloud phases, the
+// simulated network and client split, byte counts — as one JSON record
+// next to the match rows; a payload from the older layout is refused.
+TEST(Wire, QueryResponseCarriesTheWholeProfile) {
+  QueryResponse reply;
+  reply.tag = "q7";
+  reply.matches = MatchSet(2);
+  reply.matches.Append(std::vector<VertexId>{3, 5});
+  reply.cloud.query_id = 12;
+  reply.cloud.cloud_ms = 1.25;
+  reply.cloud.network_ms = 0.5;
+  reply.cloud.client_ms = 0.75;
+  reply.cloud.client_expand_ms = 0.5;
+  reply.cloud.client_filter_ms = 0.125;
+  reply.cloud.client_candidates = 40;
+  reply.cloud.total_ms = 2.5;
+  reply.cloud.request_bytes = 88;
+  reply.cloud.response_bytes = 164;
+
+  std::vector<uint8_t> bytes = SerializeQueryResponse(reply);
+  auto decoded = DeserializeQueryResponse(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->ok());
+  EXPECT_EQ(decoded->tag, "q7");
+  EXPECT_EQ(decoded->matches.Serialize(), reply.matches.Serialize());
+  EXPECT_EQ(decoded->cloud.query_id, 12u);
+  EXPECT_EQ(decoded->cloud.cloud_ms, 1.25);
+  EXPECT_EQ(decoded->cloud.network_ms, 0.5);
+  EXPECT_EQ(decoded->cloud.client_ms, 0.75);
+  EXPECT_EQ(decoded->cloud.client_expand_ms, 0.5);
+  EXPECT_EQ(decoded->cloud.client_filter_ms, 0.125);
+  EXPECT_EQ(decoded->cloud.client_candidates, 40u);
+  EXPECT_EQ(decoded->cloud.total_ms, 2.5);
+  EXPECT_EQ(decoded->cloud.request_bytes, 88u);
+  EXPECT_EQ(decoded->cloud.response_bytes, 164u);
+
+  bytes[0] = 1;  // The codec version byte of the per-field layout.
+  EXPECT_EQ(DeserializeQueryResponse(bytes).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace ppsm

@@ -71,7 +71,7 @@ TEST(ParallelCloud, SameAnswersAsSerial) {
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->response_payload, b->response_payload)
         << "parallel star matching changed the answer";
-    EXPECT_EQ(a->stats.rs_size, b->stats.rs_size);
+    EXPECT_EQ(a->profile.rs_size, b->profile.rs_size);
   }
 }
 

@@ -86,7 +86,7 @@ TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
   for (const auto& request : fx.requests) {
     auto answer = service.Execute(request);
     ASSERT_TRUE(answer.ok()) << answer.status();
-    const CloudQueryStats& stats = answer->stats;
+    const QueryProfile& stats = answer->profile;
 
     EXPECT_NE(stats.query_id, 0u);
     EXPECT_TRUE(seen_ids.insert(stats.query_id).second)
@@ -95,7 +95,7 @@ TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
     // One star profile per decomposed star, actuals filled in.
     ASSERT_EQ(stats.stars.size(), stats.num_stars);
     uint64_t rows_across_stars = 0;
-    for (const StarProfile& star : stats.stars) {
+    for (const UnitProfile& star : stats.stars) {
       EXPECT_GE(star.candidates, star.rows == 0 ? 0u : 1u);
       rows_across_stars += star.rows;
     }
@@ -143,7 +143,7 @@ TEST(QueryObs, QueryIdPropagatesIntoSpanArgs) {
   Tracer::Global().Clear();
   auto answer = service.Execute(fx.requests[0]);
   ASSERT_TRUE(answer.ok()) << answer.status();
-  const std::string want = std::to_string(answer->stats.query_id);
+  const std::string want = std::to_string(answer->profile.query_id);
 
   bool server_span = false;
   bool service_span = false;
@@ -199,14 +199,14 @@ TEST(QueryObs, DirectServeFillsStatsOnDeadlineFailure) {
   QueryContext ctx;
   ctx.query_id = FlightRecorder::NextQueryId();
   ctx.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  CloudQueryStats stats;
-  ctx.stats = &stats;
+  QueryProfile profile;
+  ctx.profile = &profile;
   auto answer = server->Serve(fx.requests[0], ctx);
   ASSERT_FALSE(answer.ok());
   EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
-  // The out-param carries the partial stats despite the early return...
-  EXPECT_EQ(stats.query_id, ctx.query_id);
-  EXPECT_EQ(stats.timed_out_phase, "on admission");
+  // The out-param carries the partial profile despite the early return...
+  EXPECT_EQ(profile.query_id, ctx.query_id);
+  EXPECT_EQ(profile.timed_out_phase, "on admission");
   // ...and a direct server call does not file with the recorder — that is
   // the service's job.
   EXPECT_EQ(FlightRecorder::Global().NumRecorded(), 0u);
@@ -233,15 +233,60 @@ TEST(QueryObs, SystemAnnotatesNetworkAndClientTimes) {
   QueryProfile recorded;
   ASSERT_TRUE(FindProfile(outcome.cloud.query_id, &recorded));
   // The facade annotated the post-cloud legs onto the recorded profile.
-  EXPECT_EQ(recorded.network_ms, outcome.network_ms);
+  EXPECT_EQ(recorded.network_ms, outcome.cloud.network_ms);
   EXPECT_GT(recorded.network_ms, 0.0);
-  EXPECT_EQ(recorded.total_ms, outcome.total_ms);
+  EXPECT_EQ(recorded.total_ms, outcome.cloud.total_ms);
   EXPECT_GE(recorded.total_ms, recorded.cloud_ms);
 
   // Static accessors see the same global recorder.
   ASSERT_EQ(PpsmSystem::RecentQueryProfiles().size(), 1u);
   EXPECT_EQ(PpsmSystem::RecentQueryProfiles()[0].query_id,
             outcome.cloud.query_id);
+}
+
+// A query the cloud refuses mid-evaluation still hands the caller its
+// profile: on a complete graph a 3-leaf star trips the row cap during unit
+// matching, and the response carries the same record the flight recorder
+// filed — the id, the overflow and the units that ran.
+TEST(QueryObs, FailedQueryResponseKeepsTheCloudProfile) {
+  auto g = GenerateUniformRandomGraph(60, 1770, 1, 7);
+  ASSERT_TRUE(g.ok()) << g.status();
+  ASSERT_EQ(g->NumEdges(), 1770u);  // Complete.
+  SystemConfig config;
+  config.k = 2;
+  auto system = PpsmSystem::Setup(*g, g->schema(), config);
+  ASSERT_TRUE(system.ok()) << system.status();
+
+  GraphBuilder star(g->schema());
+  const VertexId center = star.AddVertex(0, {});
+  for (int leaf = 0; leaf < 3; ++leaf) {
+    ASSERT_TRUE(star.AddEdge(center, star.AddVertex(0, {})).ok());
+  }
+  auto pattern = star.Build();
+  ASSERT_TRUE(pattern.ok()) << pattern.status();
+  QueryRequest request;
+  request.pattern = *std::move(pattern);
+
+  FlightRecorder::Global().Clear();
+  const QueryResponse outcome = system->Execute(request);
+  ASSERT_EQ(outcome.status.code(), StatusCode::kResourceExhausted)
+      << outcome.status;
+  EXPECT_TRUE(outcome.matches.empty());
+  const QueryProfile& profile = outcome.cloud;
+  EXPECT_NE(profile.query_id, 0u);
+  EXPECT_EQ(profile.status, "resource_exhausted");
+  EXPECT_TRUE(profile.overflowed);
+  EXPECT_GT(profile.num_stars, 0u);
+  EXPECT_EQ(profile.stars.size(), profile.num_stars);
+  EXPECT_GT(profile.request_bytes, 0u);
+  EXPECT_GT(profile.response_bytes, 0u);
+
+  QueryProfile recorded;
+  ASSERT_TRUE(FindProfile(profile.query_id, &recorded));
+  EXPECT_EQ(recorded.status, profile.status);
+  EXPECT_EQ(recorded.overflowed, profile.overflowed);
+  EXPECT_EQ(recorded.num_stars, profile.num_stars);
+  EXPECT_EQ(recorded.rs_size, profile.rs_size);
 }
 
 TEST(QueryObs, DumpQueryLogWritesParseableJsonl) {

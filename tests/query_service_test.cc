@@ -115,7 +115,7 @@ TEST(QueryService, PlanCacheHitsOnRepeatAndKeepsAnswersIdentical) {
       CounterValue("ppsm_cloud_plan_cache_hits_total");
   auto first = server->Serve(fx.requests[0]);
   ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->stats.plan_cache_hit);
+  EXPECT_FALSE(first->profile.plan_cache_hit);
   PlanCacheStats stats = server->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
@@ -124,7 +124,7 @@ TEST(QueryService, PlanCacheHitsOnRepeatAndKeepsAnswersIdentical) {
 
   auto second = server->Serve(fx.requests[0]);
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->stats.plan_cache_hit);
+  EXPECT_TRUE(second->profile.plan_cache_hit);
   EXPECT_EQ(second->response_payload, first->response_payload)
       << "cached plan changed the answer";
   stats = server->plan_cache_stats();
@@ -136,7 +136,7 @@ TEST(QueryService, PlanCacheHitsOnRepeatAndKeepsAnswersIdentical) {
   // A different query is a miss, not a false hit.
   auto third = server->Serve(fx.requests[1]);
   ASSERT_TRUE(third.ok());
-  EXPECT_FALSE(third->stats.plan_cache_hit);
+  EXPECT_FALSE(third->profile.plan_cache_hit);
   EXPECT_EQ(server->plan_cache_stats().misses, 2u);
 }
 
@@ -149,7 +149,7 @@ TEST(QueryService, PlanCacheDisabledNeverCounts) {
   for (int i = 0; i < 3; ++i) {
     auto answer = server->Serve(fx.requests[0]);
     ASSERT_TRUE(answer.ok());
-    EXPECT_FALSE(answer->stats.plan_cache_hit);
+    EXPECT_FALSE(answer->profile.plan_cache_hit);
   }
   const PlanCacheStats stats = server->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
@@ -350,9 +350,40 @@ TEST(QueryService, ExpiredBudgetStampsQueuePhaseAndAccountsReplyBytes) {
   EXPECT_EQ(profile.timed_out_phase, "queue");
   EXPECT_GT(profile.response_bytes, 0u)
       << "error reply reported as free on the wire";
+  // The service sizes the reply before it knows its own size.
+  QueryProfile unsized = profile;
+  unsized.response_bytes = 0;
   EXPECT_EQ(profile.response_bytes,
-            EncodedErrorResponseBytes(answer.status(),
-                                      FromQueryProfile(profile)));
+            EncodedErrorResponseBytes(answer.status(), unsized));
+}
+
+// The caller gets back the very profile the service filed — refusals
+// included, which never reach the cloud — so a refused query is not a
+// stats-free error at the call site either.
+TEST(QueryService, RefusalHandsBackTheFiledProfile) {
+  Fixture fx = MakeFixture(1);
+  auto server = CloudServer::Host(fx.owner.upload_bytes());
+  ASSERT_TRUE(server.ok());
+  QueryService service(&*server);
+
+  FlightRecorder::Global().Clear();
+  QueryProfile profile;
+  auto answer = service.Execute(
+      fx.requests[0],
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
+      &profile);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(profile.query_id, 0u);
+  EXPECT_EQ(profile.status, "deadline_exceeded");
+  EXPECT_EQ(profile.timed_out_phase, "queue");
+  EXPECT_EQ(profile.request_bytes, fx.requests[0].size());
+  EXPECT_GT(profile.response_bytes, 0u);
+
+  const std::vector<QueryProfile> recent = FlightRecorder::Global().Recent();
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0].query_id, profile.query_id);
+  EXPECT_EQ(recent[0].response_bytes, profile.response_bytes);
 }
 
 // Starvation stress, TSan-covered: 8 threads hammer a 2-slot gate with a

@@ -143,12 +143,12 @@ TEST(UnitPipeline, ShardsByteIdenticalWithDeepUnits) {
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(got->response_payload, want->response_payload)
           << "shards=" << num_shards << " query=" << i;
-      ASSERT_EQ(got->stats.num_stars, want->stats.num_stars);
-      ASSERT_EQ(got->stats.stars.size(), want->stats.stars.size());
-      for (size_t u = 0; u < got->stats.stars.size(); ++u) {
-        EXPECT_EQ(got->stats.stars[u].kind, want->stats.stars[u].kind)
+      ASSERT_EQ(got->profile.num_stars, want->profile.num_stars);
+      ASSERT_EQ(got->profile.stars.size(), want->profile.stars.size());
+      for (size_t u = 0; u < got->profile.stars.size(); ++u) {
+        EXPECT_EQ(got->profile.stars[u].kind, want->profile.stars[u].kind)
             << "shards=" << num_shards << " query=" << i << " unit=" << u;
-        if (want->stats.stars[u].kind != "star") saw_deep_unit = true;
+        if (want->profile.stars[u].kind != "star") saw_deep_unit = true;
       }
     }
   }

@@ -306,11 +306,11 @@ int RemoteQuery(const Args& args) {
               << " more)\n";
   }
   std::cout << "query " << response.cloud.query_id << ": cloud "
-            << Table::Num(response.cloud.total_ms, 3) << "ms | network "
-            << Table::Num(response.network_ms, 3) << "ms | client "
-            << Table::Num(response.client_ms, 3) << "ms | "
-            << response.request_bytes << " B up, " << response.response_bytes
-            << " B down\n";
+            << Table::Num(response.cloud.cloud_ms, 3) << "ms | network "
+            << Table::Num(response.cloud.network_ms, 3) << "ms | client "
+            << Table::Num(response.cloud.client_ms, 3) << "ms | "
+            << response.cloud.request_bytes << " B up, "
+            << response.cloud.response_bytes << " B down\n";
   if (repeat > 1) {
     std::cout << "replay: " << succeeded << "/" << repeat << " ok in "
               << Table::Num(wall_ms, 3) << "ms ("
@@ -490,9 +490,9 @@ int Query(const Args& args) {
               << " more)\n";
   }
   std::cout << "query " << response.cloud.query_id << ": cloud "
-            << Table::Num(response.cloud.total_ms, 3) << "ms | network "
-            << Table::Num(response.network_ms, 3) << "ms | client "
-            << Table::Num(response.client_ms, 3) << "ms\n";
+            << Table::Num(response.cloud.cloud_ms, 3) << "ms | network "
+            << Table::Num(response.cloud.network_ms, 3) << "ms | client "
+            << Table::Num(response.cloud.client_ms, 3) << "ms\n";
   if (system->cluster() != nullptr) {
     std::cout << "cluster: " << system->cluster()->num_shards()
               << " shard(s), " << system->cluster()->ExchangedBytes()
