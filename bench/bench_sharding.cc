@@ -205,13 +205,14 @@ int Run() {
       cell.shards = num_shards;
       for (const auto& request : requests) {
         auto want = server->Serve(request);
-        auto got = cluster->Serve(request);
+        QueryProfile profile;
+        auto got = cluster->Serve(request, {.profile = &profile});
         if (!want.ok() || !got.ok()) {
           std::fprintf(stderr, "serve failed (k=%u shards=%u)\n", k,
                        num_shards);
           return 1;
         }
-        cell.result_rows += got->profile.result_rows;
+        cell.result_rows += profile.result_rows;
         if (got->response_payload != want->response_payload) {
           cell.identical = false;
         }

@@ -153,9 +153,9 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
                                            const QueryContext& ctx) const {
   // The query's profile, filled as the phases run and published to
   // ctx.profile on EVERY return path — failure included — via this scope
-  // guard. The Result<WireAnswer> cannot carry a profile on an error, and the
-  // failed queries are exactly the ones the flight recorder needs full
-  // accounting for.
+  // guard. It is the profile's only way out (a WireAnswer carries none),
+  // and the failed queries are exactly the ones the flight recorder needs
+  // full accounting for.
   QueryProfile profile;
   profile.query_id =
       ctx.query_id != 0 ? ctx.query_id : FlightRecorder::NextQueryId();
@@ -185,7 +185,6 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
     return Status::InvalidArgument("empty query");
   }
 
-  WireAnswer answer;
   TraceSpan query_span(Tracer::Global(), "cloud.answer_query", "query");
   query_span.AddArg("query_id", profile.query_id);
   const CloudMetrics& metrics = CloudMetrics::Get();
@@ -366,7 +365,7 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   metrics.join_ms.Observe(profile.join_ms);
 
   profile.result_rows = rin.NumMatches();
-  answer.response_payload = rin.Serialize();
+  WireAnswer answer{rin.Serialize()};
   profile.cloud_ms = total_timer.ElapsedMillis();
   metrics.result_rows.Increment(profile.result_rows);
   metrics.query_ms.Observe(profile.cloud_ms);
@@ -374,7 +373,6 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   query_span.AddArg("result_rows",
                     static_cast<uint64_t>(profile.result_rows));
   query_span.AddArg("total_ms", profile.cloud_ms);
-  answer.profile = profile;
   return answer;
 }
 

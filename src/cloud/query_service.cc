@@ -172,7 +172,6 @@ Result<WireAnswer> QueryService::Execute(
   filed.request_bytes = qo_bytes.size();
   if (answer.ok()) {
     filed.response_bytes = answer->response_payload.size();
-    answer->profile = filed;
   } else {
     filed.status = StatusCodeLabel(answer.status().code());
     // Error replies are not free: report the bytes of the encoded error

@@ -1,10 +1,10 @@
 #include "core/ppsm_system.h"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
 #include "cloud/owner_store.h"
+#include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -219,9 +219,6 @@ QueryResponse PpsmSystem::ExecuteImpl(const QueryRequest& request) const {
       request.pattern, answer.response_payload, &client);
   if (!results.ok()) return fail(results.status());
   response.matches = std::move(results).value();
-  if (request.options.sorted_matches) {
-    response.matches.SortDedup();
-  }
   profile.client_ms = client.total_ms;
   profile.client_expand_ms = client.expand_ms;
   profile.client_filter_ms = client.filter_ms;
@@ -230,16 +227,10 @@ QueryResponse PpsmSystem::ExecuteImpl(const QueryRequest& request) const {
   metrics.network_ms.Observe(profile.network_ms);
   metrics.total_ms.Observe(profile.total_ms);
   // The service filed the profile when the cloud replied; the post-cloud
-  // times only exist now, so stamp them onto the record after the fact.
+  // times only exist now, so replace the record with the completed one.
   FlightRecorder::Global().Annotate(
-      profile.query_id, [&profile](QueryProfile& recorded) {
-        recorded.network_ms = profile.network_ms;
-        recorded.client_ms = profile.client_ms;
-        recorded.client_expand_ms = profile.client_expand_ms;
-        recorded.client_filter_ms = profile.client_filter_ms;
-        recorded.client_candidates = profile.client_candidates;
-        recorded.total_ms = profile.total_ms;
-      });
+      profile.query_id,
+      [&profile](QueryProfile& recorded) { recorded = profile; });
   return response;
 }
 
@@ -302,14 +293,7 @@ std::vector<QueryProfile> PpsmSystem::SlowQueryProfiles() {
 }
 
 Status PpsmSystem::DumpQueryLog(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::NotFound("cannot open '" + path + "' for write");
-  }
-  out << ExportQueryLogJsonl(FlightRecorder::Global());
-  out.close();
-  if (!out) return Status::Internal("failed writing query log: " + path);
-  return Status::OK();
+  return WriteStringToFile(path, ExportQueryLogJsonl(FlightRecorder::Global()));
 }
 
 }  // namespace ppsm

@@ -2,56 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <type_traits>
+#include <variant>
 
 #include "obs/json_util.h"
 
 namespace ppsm {
-
-namespace {
-
-void AppendField(std::string* out, const char* key, double value,
-                 bool* first) {
-  if (!*first) out->append(", ");
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\": ");
-  out->append(JsonNumber(value));
-}
-
-void AppendField(std::string* out, const char* key, uint64_t value,
-                 bool* first) {
-  if (!*first) out->append(", ");
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\": ");
-  out->append(std::to_string(value));
-}
-
-void AppendField(std::string* out, const char* key, bool value, bool* first) {
-  if (!*first) out->append(", ");
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\": ");
-  out->append(value ? "true" : "false");
-}
-
-void AppendField(std::string* out, const char* key, const std::string& value,
-                 bool* first) {
-  if (!*first) out->append(", ");
-  *first = false;
-  out->push_back('"');
-  out->append(key);
-  out->append("\": ");
-  out->append(JsonString(value));
-}
-
-}  // namespace
 
 std::string StatusCodeLabel(StatusCode code) {
   std::string label;
@@ -72,51 +32,6 @@ std::string StatusCodeLabel(StatusCode code) {
 }
 
 namespace {
-
-std::string StarToJson(const UnitProfile& star) {
-  std::string out = "{";
-  bool first = true;
-  AppendField(&out, "center", static_cast<uint64_t>(star.center), &first);
-  AppendField(&out, "kind", star.kind, &first);
-  AppendField(&out, "candidates", star.candidates, &first);
-  AppendField(&out, "rows", star.rows, &first);
-  AppendField(&out, "estimated_rows", star.estimated_rows, &first);
-  AppendField(&out, "truncated", star.truncated, &first);
-  AppendField(&out, "skipped", star.skipped, &first);
-  out.push_back('}');
-  return out;
-}
-
-std::string JoinStepToJson(const JoinStepProfile& step) {
-  std::string out = "{";
-  bool first = true;
-  AppendField(&out, "step", static_cast<uint64_t>(step.step), &first);
-  AppendField(&out, "star_index", static_cast<uint64_t>(step.star_index),
-              &first);
-  AppendField(&out, "star_center", static_cast<uint64_t>(step.star_center),
-              &first);
-  AppendField(&out, "build_rows", step.build_rows, &first);
-  AppendField(&out, "output_rows", step.output_rows, &first);
-  AppendField(&out, "injectivity_drops", step.injectivity_drops, &first);
-  AppendField(&out, "estimated_rows", step.estimated_rows, &first);
-  AppendField(&out, "overflow", step.overflow, &first);
-  AppendField(&out, "kind", step.kind, &first);
-  out.push_back('}');
-  return out;
-}
-
-std::string ShardToJson(const ShardProfile& shard) {
-  std::string out = "{";
-  bool first = true;
-  AppendField(&out, "shard", static_cast<uint64_t>(shard.shard), &first);
-  AppendField(&out, "candidates", shard.candidates, &first);
-  AppendField(&out, "rows", shard.rows, &first);
-  AppendField(&out, "match_ms", shard.match_ms, &first);
-  AppendField(&out, "exchange_ms", shard.exchange_ms, &first);
-  AppendField(&out, "exchanged_bytes", shard.exchanged_bytes, &first);
-  out.push_back('}');
-  return out;
-}
 
 /// Cursor over one JSON document. The grammar accepted is exactly what the
 /// serializer emits (objects, arrays of objects, strings, numbers, bools,
@@ -202,7 +117,8 @@ class JsonCursor {
     return Status::InvalidArgument("unterminated string");
   }
 
-  Result<double> ParseNumber() {
+  /// The raw token of one JSON number; the caller decides its type.
+  Result<std::string_view> NumberToken() {
     SkipWs();
     const size_t start = pos_;
     while (pos_ < text_.size() &&
@@ -212,7 +128,12 @@ class JsonCursor {
       ++pos_;
     }
     if (pos_ == start) return Status::InvalidArgument("expected a number");
-    const std::string token(text_.substr(start, pos_ - start));
+    return text_.substr(start, pos_ - start);
+  }
+
+  Result<double> ParseNumber() {
+    PPSM_ASSIGN_OR_RETURN(const std::string_view view, NumberToken());
+    const std::string token(view);
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) {
@@ -221,31 +142,46 @@ class JsonCursor {
     return value;
   }
 
-  Result<bool> ParseBool() {
+  /// An unsigned integer that fits `Int` exactly: a fraction, an exponent,
+  /// a sign or an out-of-range value is an error, never a rounded or
+  /// narrowed number.
+  template <typename Int>
+  Result<Int> ParseUnsigned() {
+    PPSM_ASSIGN_OR_RETURN(const std::string_view token, NumberToken());
+    Int value = 0;
+    const auto [end, error] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (error != std::errc() || end != token.data() + token.size()) {
+      return Status::InvalidArgument("expected an unsigned " +
+                                     std::to_string(8 * sizeof(Int)) +
+                                     "-bit integer, got '" +
+                                     std::string(token) + "'");
+    }
+    return value;
+  }
+
+  /// Consumes `word` (a JSON literal) if the next token is exactly it.
+  bool ConsumeWord(std::string_view word) {
     SkipWs();
-    if (text_.substr(pos_).starts_with("true")) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.substr(pos_).starts_with("false")) {
-      pos_ += 5;
-      return false;
-    }
+    if (!text_.substr(pos_).starts_with(word)) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  Result<bool> ParseBool() {
+    if (ConsumeWord("true")) return true;
+    if (ConsumeWord("false")) return false;
     return Status::InvalidArgument("expected true/false");
   }
 
   /// Skips one value of any supported type (for unknown keys).
   Status SkipValue() {
-    SkipWs();
     const char c = Peek();
     if (c == '"') return ParseString().status();
     if (c == 't' || c == 'f') return ParseBool().status();
     if (c == 'n') {
-      if (!text_.substr(pos_).starts_with("null")) {
-        return Status::InvalidArgument("expected null");
-      }
-      pos_ += 4;
-      return Status::OK();
+      return ConsumeWord("null") ? Status::OK()
+                                 : Status::InvalidArgument("expected null");
     }
     if (c == '{' || c == '[') {
       const char open = c;
@@ -296,85 +232,188 @@ class JsonCursor {
   size_t pos_ = 0;
 };
 
-Result<uint64_t> ParseU64(JsonCursor* cursor) {
-  PPSM_ASSIGN_OR_RETURN(const double value, cursor->ParseNumber());
-  if (value < 0) return Status::InvalidArgument("expected a non-negative int");
-  return static_cast<uint64_t>(value);
+/// Anything a profile member can be: an unsigned integer of either width, a
+/// double, a flag, a string, or a list of nested records.
+template <typename Record>
+using Member = std::variant<uint32_t Record::*, uint64_t Record::*,
+                            double Record::*, bool Record::*,
+                            std::string Record::*,
+                            std::vector<UnitProfile> Record::*,
+                            std::vector<JoinStepProfile> Record::*,
+                            std::vector<ShardProfile> Record::*>;
+
+/// One schema entry: the JSON key and the member it names. A list marked
+/// `omit_empty` is left out of the record while it has no elements.
+template <typename Record>
+struct Field {
+  std::string_view key;
+  Member<Record> member;
+  bool omit_empty = false;
+};
+
+/// The per-query schema, written once. Each table lists its record's
+/// members in serialization order; the writer and the reader below walk
+/// it, so a member added here is logged, sent and parsed back with no other
+/// edit.
+template <typename Record>
+struct Schema;
+
+template <>
+struct Schema<UnitProfile> {
+  static constexpr Field<UnitProfile> kFields[] = {
+      {"center", &UnitProfile::center},
+      {"kind", &UnitProfile::kind},
+      {"candidates", &UnitProfile::candidates},
+      {"rows", &UnitProfile::rows},
+      {"estimated_rows", &UnitProfile::estimated_rows},
+      {"truncated", &UnitProfile::truncated},
+      {"skipped", &UnitProfile::skipped},
+  };
+};
+
+template <>
+struct Schema<JoinStepProfile> {
+  static constexpr Field<JoinStepProfile> kFields[] = {
+      {"step", &JoinStepProfile::step},
+      {"star_index", &JoinStepProfile::star_index},
+      {"star_center", &JoinStepProfile::star_center},
+      {"build_rows", &JoinStepProfile::build_rows},
+      {"output_rows", &JoinStepProfile::output_rows},
+      {"injectivity_drops", &JoinStepProfile::injectivity_drops},
+      {"estimated_rows", &JoinStepProfile::estimated_rows},
+      {"overflow", &JoinStepProfile::overflow},
+      {"kind", &JoinStepProfile::kind},
+  };
+};
+
+template <>
+struct Schema<ShardProfile> {
+  static constexpr Field<ShardProfile> kFields[] = {
+      {"shard", &ShardProfile::shard},
+      {"candidates", &ShardProfile::candidates},
+      {"rows", &ShardProfile::rows},
+      {"match_ms", &ShardProfile::match_ms},
+      {"exchange_ms", &ShardProfile::exchange_ms},
+      {"exchanged_bytes", &ShardProfile::exchanged_bytes},
+  };
+};
+
+template <>
+struct Schema<QueryProfile> {
+  static constexpr Field<QueryProfile> kFields[] = {
+      {"query_id", &QueryProfile::query_id},
+      {"status", &QueryProfile::status},
+      {"timed_out_phase", &QueryProfile::timed_out_phase},
+      {"queue_wait_ms", &QueryProfile::queue_wait_ms},
+      {"decomposition_ms", &QueryProfile::decomposition_ms},
+      {"star_matching_ms", &QueryProfile::star_matching_ms},
+      {"join_ms", &QueryProfile::join_ms},
+      {"cloud_ms", &QueryProfile::cloud_ms},
+      {"network_ms", &QueryProfile::network_ms},
+      {"client_ms", &QueryProfile::client_ms},
+      {"client_expand_ms", &QueryProfile::client_expand_ms},
+      {"client_filter_ms", &QueryProfile::client_filter_ms},
+      {"total_ms", &QueryProfile::total_ms},
+      {"aux_build_ms", &QueryProfile::aux_build_ms},
+      {"aux_bytes", &QueryProfile::aux_bytes},
+      {"intersect_scalar", &QueryProfile::intersect_scalar},
+      {"intersect_galloping", &QueryProfile::intersect_galloping},
+      {"intersect_simd", &QueryProfile::intersect_simd},
+      {"plan_cache_hit", &QueryProfile::plan_cache_hit},
+      {"overflowed", &QueryProfile::overflowed},
+      {"num_stars", &QueryProfile::num_stars},
+      {"rs_size", &QueryProfile::rs_size},
+      {"result_rows", &QueryProfile::result_rows},
+      {"peak_join_rows", &QueryProfile::peak_join_rows},
+      {"client_candidates", &QueryProfile::client_candidates},
+      {"request_bytes", &QueryProfile::request_bytes},
+      {"response_bytes", &QueryProfile::response_bytes},
+      {"stars", &QueryProfile::stars},
+      {"join_steps", &QueryProfile::join_steps},
+      // Omitted when empty (the single-server common case) so the record
+      // doesn't grow for deployments without a cluster; a missing key
+      // parses as an empty list.
+      {"shards", &QueryProfile::shards, /*omit_empty=*/true},
+  };
+};
+
+template <typename Record>
+void AppendRecord(const Record& record, std::string* out);
+
+template <typename T>
+void AppendValue(const T& value, std::string* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out->append(value ? "true" : "false");
+  } else if constexpr (std::is_integral_v<T>) {
+    out->append(std::to_string(value));
+  } else if constexpr (std::is_same_v<T, double>) {
+    out->append(JsonNumber(value));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out->append(JsonString(value));
+  } else {  // A list of nested records.
+    out->push_back('[');
+    for (size_t i = 0; i < value.size(); ++i) {
+      if (i > 0) out->append(", ");
+      AppendRecord(value[i], out);
+    }
+    out->push_back(']');
+  }
 }
 
-Status ParseStar(JsonCursor* cursor, UnitProfile* star) {
-  return cursor->ParseObject([&](const std::string& key) -> Status {
-    if (key == "center") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      star->center = static_cast<uint32_t>(v);
-    } else if (key == "kind") {
-      PPSM_ASSIGN_OR_RETURN(star->kind, cursor->ParseString());
-    } else if (key == "candidates") {
-      PPSM_ASSIGN_OR_RETURN(star->candidates, ParseU64(cursor));
-    } else if (key == "rows") {
-      PPSM_ASSIGN_OR_RETURN(star->rows, ParseU64(cursor));
-    } else if (key == "estimated_rows") {
-      PPSM_ASSIGN_OR_RETURN(star->estimated_rows, cursor->ParseNumber());
-    } else if (key == "truncated") {
-      PPSM_ASSIGN_OR_RETURN(star->truncated, cursor->ParseBool());
-    } else if (key == "skipped") {
-      PPSM_ASSIGN_OR_RETURN(star->skipped, cursor->ParseBool());
-    } else {
-      return cursor->SkipValue();
-    }
-    return Status::OK();
-  });
+template <typename Record>
+void AppendRecord(const Record& record, std::string* out) {
+  out->push_back('{');
+  bool first = true;
+  for (const Field<Record>& field : Schema<Record>::kFields) {
+    std::visit(
+        [&](auto member) {
+          const auto& value = record.*member;
+          if constexpr (requires { value.empty(); }) {
+            if (field.omit_empty && value.empty()) return;
+          }
+          if (!first) out->append(", ");
+          first = false;
+          out->push_back('"');
+          out->append(field.key);
+          out->append("\": ");
+          AppendValue(value, out);
+        },
+        field.member);
+  }
+  out->push_back('}');
 }
 
-Status ParseJoinStep(JsonCursor* cursor, JoinStepProfile* step) {
-  return cursor->ParseObject([&](const std::string& key) -> Status {
-    if (key == "step") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      step->step = static_cast<uint32_t>(v);
-    } else if (key == "star_index") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      step->star_index = static_cast<uint32_t>(v);
-    } else if (key == "star_center") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      step->star_center = static_cast<uint32_t>(v);
-    } else if (key == "build_rows") {
-      PPSM_ASSIGN_OR_RETURN(step->build_rows, ParseU64(cursor));
-    } else if (key == "output_rows") {
-      PPSM_ASSIGN_OR_RETURN(step->output_rows, ParseU64(cursor));
-    } else if (key == "injectivity_drops") {
-      PPSM_ASSIGN_OR_RETURN(step->injectivity_drops, ParseU64(cursor));
-    } else if (key == "estimated_rows") {
-      PPSM_ASSIGN_OR_RETURN(step->estimated_rows, cursor->ParseNumber());
-    } else if (key == "overflow") {
-      PPSM_ASSIGN_OR_RETURN(step->overflow, cursor->ParseBool());
-    } else if (key == "kind") {
-      PPSM_ASSIGN_OR_RETURN(step->kind, cursor->ParseString());
-    } else {
-      return cursor->SkipValue();
-    }
-    return Status::OK();
-  });
+template <typename Record>
+Status ParseRecord(JsonCursor* cursor, Record* record);
+
+template <typename T>
+Status ParseValue(JsonCursor* cursor, T* value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    PPSM_ASSIGN_OR_RETURN(*value, cursor->ParseBool());
+  } else if constexpr (std::is_integral_v<T>) {
+    PPSM_ASSIGN_OR_RETURN(*value, cursor->ParseUnsigned<T>());
+  } else if constexpr (std::is_same_v<T, double>) {
+    PPSM_ASSIGN_OR_RETURN(*value, cursor->ParseNumber());
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    PPSM_ASSIGN_OR_RETURN(*value, cursor->ParseString());
+  } else {  // A list of nested records.
+    return cursor->ParseArray([&]() -> Status {
+      return ParseRecord(cursor, &value->emplace_back());
+    });
+  }
+  return Status::OK();
 }
 
-Status ParseShard(JsonCursor* cursor, ShardProfile* shard) {
+template <typename Record>
+Status ParseRecord(JsonCursor* cursor, Record* record) {
   return cursor->ParseObject([&](const std::string& key) -> Status {
-    if (key == "shard") {
-      PPSM_ASSIGN_OR_RETURN(const uint64_t v, ParseU64(cursor));
-      shard->shard = static_cast<uint32_t>(v);
-    } else if (key == "candidates") {
-      PPSM_ASSIGN_OR_RETURN(shard->candidates, ParseU64(cursor));
-    } else if (key == "rows") {
-      PPSM_ASSIGN_OR_RETURN(shard->rows, ParseU64(cursor));
-    } else if (key == "match_ms") {
-      PPSM_ASSIGN_OR_RETURN(shard->match_ms, cursor->ParseNumber());
-    } else if (key == "exchange_ms") {
-      PPSM_ASSIGN_OR_RETURN(shard->exchange_ms, cursor->ParseNumber());
-    } else if (key == "exchanged_bytes") {
-      PPSM_ASSIGN_OR_RETURN(shard->exchanged_bytes, ParseU64(cursor));
-    } else {
-      return cursor->SkipValue();
+    for (const Field<Record>& field : Schema<Record>::kFields) {
+      if (field.key != key) continue;
+      return std::visit(
+          [&](auto member) { return ParseValue(cursor, &(record->*member)); },
+          field.member);
     }
-    return Status::OK();
+    return cursor->SkipValue();  // Unknown keys: the format can grow.
   });
 }
 
@@ -387,156 +426,34 @@ double Percentile(const std::vector<double>& sorted, double p) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+/// Sample count, exact percentiles and mean |log2| of one set of ratios
+/// (sorted in place); `kind` is left for the caller.
+UnitKindCalibration SummarizeRatios(std::vector<double>& ratios) {
+  std::sort(ratios.begin(), ratios.end());
+  UnitKindCalibration summary;
+  summary.samples = ratios.size();
+  summary.ratio_p50 = Percentile(ratios, 50.0);
+  summary.ratio_p90 = Percentile(ratios, 90.0);
+  summary.ratio_p99 = Percentile(ratios, 99.0);
+  for (const double r : ratios) summary.mean_abs_log2 += std::abs(std::log2(r));
+  if (!ratios.empty()) {
+    summary.mean_abs_log2 /= static_cast<double>(ratios.size());
+  }
+  return summary;
+}
+
 }  // namespace
 
 std::string QueryProfileToJson(const QueryProfile& profile) {
-  std::string out = "{";
-  bool first = true;
-  AppendField(&out, "query_id", profile.query_id, &first);
-  AppendField(&out, "status", profile.status, &first);
-  AppendField(&out, "timed_out_phase", profile.timed_out_phase, &first);
-  AppendField(&out, "queue_wait_ms", profile.queue_wait_ms, &first);
-  AppendField(&out, "decomposition_ms", profile.decomposition_ms, &first);
-  AppendField(&out, "star_matching_ms", profile.star_matching_ms, &first);
-  AppendField(&out, "join_ms", profile.join_ms, &first);
-  AppendField(&out, "cloud_ms", profile.cloud_ms, &first);
-  AppendField(&out, "network_ms", profile.network_ms, &first);
-  AppendField(&out, "client_ms", profile.client_ms, &first);
-  AppendField(&out, "client_expand_ms", profile.client_expand_ms, &first);
-  AppendField(&out, "client_filter_ms", profile.client_filter_ms, &first);
-  AppendField(&out, "total_ms", profile.total_ms, &first);
-  AppendField(&out, "aux_build_ms", profile.aux_build_ms, &first);
-  AppendField(&out, "aux_bytes", profile.aux_bytes, &first);
-  AppendField(&out, "intersect_scalar", profile.intersect_scalar, &first);
-  AppendField(&out, "intersect_galloping", profile.intersect_galloping,
-              &first);
-  AppendField(&out, "intersect_simd", profile.intersect_simd, &first);
-  AppendField(&out, "plan_cache_hit", profile.plan_cache_hit, &first);
-  AppendField(&out, "overflowed", profile.overflowed, &first);
-  AppendField(&out, "num_stars", profile.num_stars, &first);
-  AppendField(&out, "rs_size", profile.rs_size, &first);
-  AppendField(&out, "result_rows", profile.result_rows, &first);
-  AppendField(&out, "peak_join_rows", profile.peak_join_rows, &first);
-  AppendField(&out, "client_candidates", profile.client_candidates, &first);
-  AppendField(&out, "request_bytes", profile.request_bytes, &first);
-  AppendField(&out, "response_bytes", profile.response_bytes, &first);
-  out.append(", \"stars\": [");
-  for (size_t i = 0; i < profile.stars.size(); ++i) {
-    if (i > 0) out.append(", ");
-    out.append(StarToJson(profile.stars[i]));
-  }
-  out.append("], \"join_steps\": [");
-  for (size_t i = 0; i < profile.join_steps.size(); ++i) {
-    if (i > 0) out.append(", ");
-    out.append(JoinStepToJson(profile.join_steps[i]));
-  }
-  out.push_back(']');
-  // Omitted when empty (the single-server common case) so the JSONL record
-  // doesn't grow for deployments without a cluster; the parser treats a
-  // missing key as an empty list.
-  if (!profile.shards.empty()) {
-    out.append(", \"shards\": [");
-    for (size_t i = 0; i < profile.shards.size(); ++i) {
-      if (i > 0) out.append(", ");
-      out.append(ShardToJson(profile.shards[i]));
-    }
-    out.push_back(']');
-  }
-  out.push_back('}');
+  std::string out;
+  AppendRecord(profile, &out);
   return out;
 }
 
 Result<QueryProfile> QueryProfileFromJson(std::string_view json) {
   JsonCursor cursor(json);
   QueryProfile profile;
-  PPSM_RETURN_IF_ERROR(
-      cursor.ParseObject([&](const std::string& key) -> Status {
-        if (key == "query_id") {
-          PPSM_ASSIGN_OR_RETURN(profile.query_id, ParseU64(&cursor));
-        } else if (key == "status") {
-          PPSM_ASSIGN_OR_RETURN(profile.status, cursor.ParseString());
-        } else if (key == "timed_out_phase") {
-          PPSM_ASSIGN_OR_RETURN(profile.timed_out_phase,
-                                cursor.ParseString());
-        } else if (key == "queue_wait_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.queue_wait_ms, cursor.ParseNumber());
-        } else if (key == "decomposition_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.decomposition_ms,
-                                cursor.ParseNumber());
-        } else if (key == "star_matching_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.star_matching_ms,
-                                cursor.ParseNumber());
-        } else if (key == "join_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.join_ms, cursor.ParseNumber());
-        } else if (key == "cloud_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.cloud_ms, cursor.ParseNumber());
-        } else if (key == "network_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.network_ms, cursor.ParseNumber());
-        } else if (key == "client_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.client_ms, cursor.ParseNumber());
-        } else if (key == "client_expand_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.client_expand_ms,
-                                cursor.ParseNumber());
-        } else if (key == "client_filter_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.client_filter_ms,
-                                cursor.ParseNumber());
-        } else if (key == "total_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.total_ms, cursor.ParseNumber());
-        } else if (key == "aux_build_ms") {
-          PPSM_ASSIGN_OR_RETURN(profile.aux_build_ms, cursor.ParseNumber());
-        } else if (key == "aux_bytes") {
-          PPSM_ASSIGN_OR_RETURN(profile.aux_bytes, ParseU64(&cursor));
-        } else if (key == "intersect_scalar") {
-          PPSM_ASSIGN_OR_RETURN(profile.intersect_scalar, ParseU64(&cursor));
-        } else if (key == "intersect_galloping") {
-          PPSM_ASSIGN_OR_RETURN(profile.intersect_galloping,
-                                ParseU64(&cursor));
-        } else if (key == "intersect_simd") {
-          PPSM_ASSIGN_OR_RETURN(profile.intersect_simd, ParseU64(&cursor));
-        } else if (key == "plan_cache_hit") {
-          PPSM_ASSIGN_OR_RETURN(profile.plan_cache_hit, cursor.ParseBool());
-        } else if (key == "overflowed") {
-          PPSM_ASSIGN_OR_RETURN(profile.overflowed, cursor.ParseBool());
-        } else if (key == "num_stars") {
-          PPSM_ASSIGN_OR_RETURN(profile.num_stars, ParseU64(&cursor));
-        } else if (key == "rs_size") {
-          PPSM_ASSIGN_OR_RETURN(profile.rs_size, ParseU64(&cursor));
-        } else if (key == "result_rows") {
-          PPSM_ASSIGN_OR_RETURN(profile.result_rows, ParseU64(&cursor));
-        } else if (key == "peak_join_rows") {
-          PPSM_ASSIGN_OR_RETURN(profile.peak_join_rows, ParseU64(&cursor));
-        } else if (key == "client_candidates") {
-          PPSM_ASSIGN_OR_RETURN(profile.client_candidates, ParseU64(&cursor));
-        } else if (key == "request_bytes") {
-          PPSM_ASSIGN_OR_RETURN(profile.request_bytes, ParseU64(&cursor));
-        } else if (key == "response_bytes") {
-          PPSM_ASSIGN_OR_RETURN(profile.response_bytes, ParseU64(&cursor));
-        } else if (key == "stars") {
-          return cursor.ParseArray([&]() -> Status {
-            UnitProfile star;
-            PPSM_RETURN_IF_ERROR(ParseStar(&cursor, &star));
-            profile.stars.push_back(star);
-            return Status::OK();
-          });
-        } else if (key == "join_steps") {
-          return cursor.ParseArray([&]() -> Status {
-            JoinStepProfile step;
-            PPSM_RETURN_IF_ERROR(ParseJoinStep(&cursor, &step));
-            profile.join_steps.push_back(step);
-            return Status::OK();
-          });
-        } else if (key == "shards") {
-          return cursor.ParseArray([&]() -> Status {
-            ShardProfile shard;
-            PPSM_RETURN_IF_ERROR(ParseShard(&cursor, &shard));
-            profile.shards.push_back(shard);
-            return Status::OK();
-          });
-        } else {
-          return cursor.SkipValue();
-        }
-        return Status::OK();
-      }));
+  PPSM_RETURN_IF_ERROR(ParseRecord(&cursor, &profile));
   if (!cursor.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after the profile object");
   }
@@ -572,42 +489,22 @@ CostModelCalibration SummarizeCostModelCalibration(
                             (static_cast<double>(step.output_rows) + 1.0));
     }
   }
-  std::sort(star_ratios.begin(), star_ratios.end());
-  std::sort(join_ratios.begin(), join_ratios.end());
-  calibration.star_samples = star_ratios.size();
-  calibration.join_samples = join_ratios.size();
-  calibration.star_ratio_p50 = Percentile(star_ratios, 50.0);
-  calibration.star_ratio_p90 = Percentile(star_ratios, 90.0);
-  calibration.star_ratio_p99 = Percentile(star_ratios, 99.0);
-  calibration.join_ratio_p50 = Percentile(join_ratios, 50.0);
-  calibration.join_ratio_p90 = Percentile(join_ratios, 90.0);
-  calibration.join_ratio_p99 = Percentile(join_ratios, 99.0);
-  for (const double r : star_ratios) {
-    calibration.star_mean_abs_log2 += std::abs(std::log2(r));
-  }
-  for (const double r : join_ratios) {
-    calibration.join_mean_abs_log2 += std::abs(std::log2(r));
-  }
-  if (!star_ratios.empty()) {
-    calibration.star_mean_abs_log2 /=
-        static_cast<double>(star_ratios.size());
-  }
-  if (!join_ratios.empty()) {
-    calibration.join_mean_abs_log2 /=
-        static_cast<double>(join_ratios.size());
-  }
+  const UnitKindCalibration stars = SummarizeRatios(star_ratios);
+  calibration.star_samples = stars.samples;
+  calibration.star_ratio_p50 = stars.ratio_p50;
+  calibration.star_ratio_p90 = stars.ratio_p90;
+  calibration.star_ratio_p99 = stars.ratio_p99;
+  calibration.star_mean_abs_log2 = stars.mean_abs_log2;
+  const UnitKindCalibration joins = SummarizeRatios(join_ratios);
+  calibration.join_samples = joins.samples;
+  calibration.join_ratio_p50 = joins.ratio_p50;
+  calibration.join_ratio_p90 = joins.ratio_p90;
+  calibration.join_ratio_p99 = joins.ratio_p99;
+  calibration.join_mean_abs_log2 = joins.mean_abs_log2;
   for (size_t b = 0; b < 4; ++b) {
-    std::vector<double>& ratios = kind_ratios[b];
-    if (ratios.empty()) continue;
-    std::sort(ratios.begin(), ratios.end());
-    UnitKindCalibration kind;
+    if (kind_ratios[b].empty()) continue;
+    UnitKindCalibration kind = SummarizeRatios(kind_ratios[b]);
     kind.kind = kKinds[b];
-    kind.samples = ratios.size();
-    kind.ratio_p50 = Percentile(ratios, 50.0);
-    kind.ratio_p90 = Percentile(ratios, 90.0);
-    kind.ratio_p99 = Percentile(ratios, 99.0);
-    for (const double r : ratios) kind.mean_abs_log2 += std::abs(std::log2(r));
-    kind.mean_abs_log2 /= static_cast<double>(ratios.size());
     calibration.per_kind.push_back(std::move(kind));
   }
   return calibration;

@@ -24,6 +24,8 @@ struct UnitProfile {
   bool truncated = false;      // Row cap or cancellation cut it short.
   bool skipped = false;        // Never matched: a sibling truncated first.
   std::string kind = "star";   // Unit shape: "star", "path" or "tree".
+
+  bool operator==(const UnitProfile&) const = default;
 };
 
 /// Per-step record of the result join: which unit joined in, what the cost
@@ -40,6 +42,8 @@ struct JoinStepProfile {
   double estimated_rows = 0.0;     // §5.1 estimate for the unit (0 = none).
   bool overflow = false;           // This step hit the row cap.
   std::string kind = "star";       // Shape of the joined unit.
+
+  bool operator==(const JoinStepProfile&) const = default;
 };
 
 /// Per-shard record of one query's star-matching phase on a sharded cloud
@@ -54,6 +58,8 @@ struct ShardProfile {
   double match_ms = 0.0;        // Shard-local star-matching wall time.
   double exchange_ms = 0.0;     // Simulated transfer time to the coordinator.
   uint64_t exchanged_bytes = 0; // Serialized row payload (0 for shard 0).
+
+  bool operator==(const ShardProfile&) const = default;
 };
 
 /// The one per-query record: everything one query did, end to end (the
@@ -115,6 +121,8 @@ struct QueryProfile {
   /// Per-shard contributions when the query ran on a sharded cluster;
   /// empty on the single-server path.
   std::vector<ShardProfile> shards;
+
+  bool operator==(const QueryProfile&) const = default;
 };
 
 /// Lower-snake-case label of a status code ("deadline_exceeded",
@@ -122,12 +130,15 @@ struct QueryProfile {
 std::string StatusCodeLabel(StatusCode code);
 
 /// One-line JSON object for a profile (no trailing newline) — the JSONL
-/// record format of the slow-query log and `ppsm_cli --query-log`.
+/// record of the slow-query log and `ppsm_cli --query-log`, and the profile
+/// block of an encoded QueryResponse.
 std::string QueryProfileToJson(const QueryProfile& profile);
 
 /// Parses a QueryProfileToJson record back. Accepts exactly the schema the
-/// serializer emits (flat keys plus the stars/join_steps object arrays);
-/// unknown keys are ignored so the format can grow. InvalidArgument on
+/// serializer emits (flat keys plus the stars/join_steps/shards object
+/// arrays); unknown keys are ignored so the format can grow. Integer
+/// members decode exactly at their own width: a fraction, an exponent, a
+/// sign or an out-of-range value is InvalidArgument, as is any other
 /// malformed input.
 Result<QueryProfile> QueryProfileFromJson(std::string_view json);
 

@@ -14,7 +14,8 @@ namespace {
 // these payloads already pin the outer wire version, this guards the inner
 // layout independently so a same-frame-version peer with a stale payload
 // codec still fails typed instead of mis-decoding).
-constexpr uint8_t kRequestCodecVersion = 1;
+// Version 2: the request-options byte (a sort flag) is gone.
+constexpr uint8_t kRequestCodecVersion = 2;
 // Version 2: the profile JSON carries every non-match field of the reply
 // (version 1 put eight of them as separate doubles/varints before it).
 constexpr uint8_t kResponseCodecVersion = 2;
@@ -27,7 +28,6 @@ std::vector<uint8_t> SerializeQueryRequest(const QueryRequest& request) {
   const std::vector<uint8_t> pattern = SerializeGraph(request.pattern);
   writer.PutVarint(pattern.size());
   writer.PutBytes(pattern);
-  writer.PutU8(request.options.sorted_matches ? 1 : 0);
   writer.PutVarint(request.deadline_ms);
   writer.PutString(request.tag);
   return writer.TakeBytes();
@@ -47,8 +47,6 @@ Result<QueryRequest> DeserializeQueryRequest(
   QueryRequest request;
   PPSM_ASSIGN_OR_RETURN(request.pattern,
                         DeserializeGraph(pattern_bytes, std::move(schema)));
-  PPSM_ASSIGN_OR_RETURN(const uint8_t sorted, reader.GetU8());
-  request.options.sorted_matches = sorted != 0;
   PPSM_ASSIGN_OR_RETURN(request.deadline_ms, reader.GetVarint());
   PPSM_ASSIGN_OR_RETURN(request.tag, reader.GetString());
   if (!reader.AtEnd()) {

@@ -22,23 +22,12 @@ namespace ppsm {
 /// one record, QueryProfile, describes what a query did on all of them.
 /// ---------------------------------------------------------------------------
 
-/// Per-request evaluation knobs (the request-scoped complement of the
-/// deployment-scoped CloudConfig).
-struct QueryOptions {
-  /// Sort the final exact matches lexicographically before returning them.
-  /// Presentation only — the result set is distinct either way — and off by
-  /// default because sorting |R(Q,G)| rows costs real time on high-fanout
-  /// queries.
-  bool sorted_matches = false;
-};
-
 /// One subgraph query as the user poses it: the pattern graph (original
-/// labels — anonymization to Qo happens inside the owner), optional
-/// request-scoped options, a per-request deadline and a caller tag that is
-/// echoed back on the response (workload bookkeeping in batch replays).
+/// labels — anonymization to Qo happens inside the owner), a per-request
+/// deadline and a caller tag that is echoed back on the response (workload
+/// bookkeeping in batch replays).
 struct QueryRequest {
   AttributedGraph pattern;
-  QueryOptions options;
   /// Per-request wall-clock budget in milliseconds, measured from admission.
   /// 0 defers to the service-wide CloudConfig::query_deadline_ms.
   uint64_t deadline_ms = 0;
@@ -52,6 +41,8 @@ struct QueryRequest {
 /// is then empty) — check ok() before using results.
 struct QueryResponse {
   Status status;  // Default-constructed = OK.
+  /// R(Q,G): lexicographically sorted, distinct rows (the client's filter
+  /// ends with SortDedup), so equal answers compare equal.
   MatchSet matches;
   /// The query's one end-to-end record: cloud phases, admission, simulated
   /// network, client post-processing, byte counts and the end-to-end
@@ -113,11 +104,11 @@ struct QueryContext {
   QueryProfile* profile = nullptr;
 };
 
-/// A served reply at the wire level: the serialized match set that would
-/// travel back to the client, plus the cloud's profile of the evaluation.
+/// A served reply at the wire level: the serialized match set Rin that
+/// travels back to the client. Its profile reaches callers only through
+/// QueryContext::profile or QueryService::Execute's `profile` out-param.
 struct WireAnswer {
   std::vector<uint8_t> response_payload;
-  QueryProfile profile;
 };
 
 }  // namespace ppsm

@@ -159,10 +159,11 @@ TEST(CloudServer, HostsOptimizedAndAnswers) {
 
   auto request = owner.AnonymizeQueryToRequest(ex.query);
   ASSERT_TRUE(request.ok());
-  auto answer = server->Serve(*request);
+  QueryProfile profile;
+  auto answer = server->Serve(*request, {.profile = &profile});
   ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_GT(answer->profile.num_stars, 0u);
-  EXPECT_GT(answer->profile.rs_size, 0u);
+  EXPECT_GT(profile.num_stars, 0u);
+  EXPECT_GT(profile.rs_size, 0u);
   auto rin = MatchSet::Deserialize(answer->response_payload);
   ASSERT_TRUE(rin.ok());
   EXPECT_EQ(rin->arity(), ex.query.NumVertices());

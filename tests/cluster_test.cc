@@ -121,16 +121,18 @@ TEST(Cluster, ByteIdenticalToUnshardedAtEveryShardCount) {
       // The second pass repeats every query, so it must hit both caches.
       for (const bool repeat : {false, true}) {
         for (const auto& request : fx.requests) {
-          auto want = server->Serve(request);
+          QueryProfile want_profile;
+          auto want = server->Serve(request, {.profile = &want_profile});
           ASSERT_TRUE(want.ok()) << want.status();
-          auto got = cluster->Serve(request);
+          QueryProfile got_profile;
+          auto got = cluster->Serve(request, {.profile = &got_profile});
           ASSERT_TRUE(got.ok()) << got.status();
           EXPECT_EQ(got->response_payload, want->response_payload);
-          ExpectSameDeterministicStats(got->profile, want->profile);
+          ExpectSameDeterministicStats(got_profile, want_profile);
           if (repeat) {
-            EXPECT_TRUE(got->profile.plan_cache_hit);
+            EXPECT_TRUE(got_profile.plan_cache_hit);
           }
-          ASSERT_EQ(got->profile.shards.size(), num_shards);
+          ASSERT_EQ(got_profile.shards.size(), num_shards);
         }
       }
       EXPECT_EQ(cluster->plan_cache_stats().hits,
@@ -201,10 +203,11 @@ TEST(Cluster, ExchangeMetersCountShardTraffic) {
   EXPECT_EQ(cluster->ExchangedBytes(), 0u);
   size_t profiled_bytes = 0;
   for (const auto& request : fx.requests) {
-    auto answer = cluster->Serve(request);
+    QueryProfile profile;
+    auto answer = cluster->Serve(request, {.profile = &profile});
     ASSERT_TRUE(answer.ok()) << answer.status();
-    ASSERT_EQ(answer->profile.shards.size(), 3u);
-    for (const ShardProfile& shard : answer->profile.shards) {
+    ASSERT_EQ(profile.shards.size(), 3u);
+    for (const ShardProfile& shard : profile.shards) {
       if (shard.shard == 0) {
         // The coordinator is colocated with shard 0: no wire hop.
         EXPECT_EQ(shard.exchanged_bytes, 0u);

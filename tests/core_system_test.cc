@@ -152,6 +152,10 @@ TEST(PpsmSystem, AllMethodsAgreeOnResults) {
     request.pattern = extracted->query;
     const QueryResponse outcome = system->Execute(request);
     ASSERT_TRUE(outcome.ok()) << MethodName(method);
+    // Rows come back sorted and distinct, so sorting them again is a no-op.
+    MatchSet resorted = outcome.matches;
+    resorted.SortDedup();
+    EXPECT_EQ(resorted, outcome.matches) << MethodName(method);
     if (first) {
       reference = outcome.matches;
       first = false;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -16,6 +18,14 @@
 #include "obs/query_profile.h"
 
 namespace ppsm {
+
+// Failed whole-record comparisons print the JSON record, not raw bytes
+// (found by argument-dependent lookup, so it lives in the record's
+// namespace).
+void PrintTo(const QueryProfile& profile, std::ostream* os) {
+  *os << QueryProfileToJson(profile);
+}
+
 namespace {
 
 QueryProfile MakeProfile(uint64_t id, double cloud_ms = 1.0) {
@@ -163,6 +173,8 @@ TEST(FlightRecorder, ConcurrentWraparoundKeepsCountsExact) {
   EXPECT_EQ(recorder.SlowQueries().size(), 8u);
 }
 
+// Every field of all four records set to a non-default value, so a round
+// trip that drops or swaps any member fails the whole-record comparison.
 QueryProfile FullProfile() {
   QueryProfile profile;
   profile.query_id = 42;
@@ -178,6 +190,11 @@ QueryProfile FullProfile() {
   profile.client_expand_ms = 0.375;
   profile.client_filter_ms = 0.0625;
   profile.total_ms = 9.1875;
+  profile.aux_build_ms = 0.4375;
+  profile.aux_bytes = 65536;
+  profile.intersect_scalar = 11;
+  profile.intersect_galloping = 12;
+  profile.intersect_simd = 13;
   profile.plan_cache_hit = true;
   profile.overflowed = true;
   profile.num_stars = 3;
@@ -187,60 +204,81 @@ QueryProfile FullProfile() {
   profile.client_candidates = 2048;
   profile.request_bytes = 321;
   profile.response_bytes = 4567;
-  profile.stars = {{/*center=*/0, /*candidates=*/10, /*rows=*/7,
-                    /*estimated_rows=*/8.5, /*truncated=*/false},
-                   {/*center=*/2, /*candidates=*/20, /*rows=*/14,
-                    /*estimated_rows=*/0.0, /*truncated=*/true}};
-  profile.join_steps = {{/*step=*/1, /*star_index=*/0, /*star_center=*/2,
-                         /*build_rows=*/14, /*output_rows=*/90,
-                         /*injectivity_drops=*/3, /*estimated_rows=*/100.0,
-                         /*overflow=*/true}};
+  profile.stars = {{.center = 1,
+                    .candidates = 10,
+                    .rows = 7,
+                    .estimated_rows = 8.5,
+                    .truncated = true,
+                    .skipped = true,
+                    .kind = "path"},
+                   {.center = 2,
+                    .candidates = 20,
+                    .rows = 14,
+                    .estimated_rows = 0.75,
+                    .truncated = true,
+                    .skipped = true,
+                    .kind = "tree"}};
+  profile.join_steps = {{.step = 1,
+                         .star_index = 4,
+                         .star_center = 2,
+                         .build_rows = 14,
+                         .output_rows = 90,
+                         .injectivity_drops = 3,
+                         .estimated_rows = 100.0,
+                         .overflow = true,
+                         .kind = "tree"}};
+  profile.shards = {{.shard = 1,
+                     .candidates = 6,
+                     .rows = 5,
+                     .match_ms = 0.125,
+                     .exchange_ms = 0.0078125,
+                     .exchanged_bytes = 777}};
   return profile;
 }
 
-void ExpectProfilesEqual(const QueryProfile& a, const QueryProfile& b) {
-  EXPECT_EQ(a.query_id, b.query_id);
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_EQ(a.timed_out_phase, b.timed_out_phase);
-  EXPECT_EQ(a.queue_wait_ms, b.queue_wait_ms);
-  EXPECT_EQ(a.decomposition_ms, b.decomposition_ms);
-  EXPECT_EQ(a.star_matching_ms, b.star_matching_ms);
-  EXPECT_EQ(a.join_ms, b.join_ms);
-  EXPECT_EQ(a.cloud_ms, b.cloud_ms);
-  EXPECT_EQ(a.network_ms, b.network_ms);
-  EXPECT_EQ(a.client_ms, b.client_ms);
-  EXPECT_EQ(a.client_expand_ms, b.client_expand_ms);
-  EXPECT_EQ(a.client_filter_ms, b.client_filter_ms);
-  EXPECT_EQ(a.total_ms, b.total_ms);
-  EXPECT_EQ(a.plan_cache_hit, b.plan_cache_hit);
-  EXPECT_EQ(a.overflowed, b.overflowed);
-  EXPECT_EQ(a.num_stars, b.num_stars);
-  EXPECT_EQ(a.rs_size, b.rs_size);
-  EXPECT_EQ(a.result_rows, b.result_rows);
-  EXPECT_EQ(a.peak_join_rows, b.peak_join_rows);
-  EXPECT_EQ(a.client_candidates, b.client_candidates);
-  EXPECT_EQ(a.request_bytes, b.request_bytes);
-  EXPECT_EQ(a.response_bytes, b.response_bytes);
-  ASSERT_EQ(a.stars.size(), b.stars.size());
-  for (size_t i = 0; i < a.stars.size(); ++i) {
-    EXPECT_EQ(a.stars[i].center, b.stars[i].center);
-    EXPECT_EQ(a.stars[i].candidates, b.stars[i].candidates);
-    EXPECT_EQ(a.stars[i].rows, b.stars[i].rows);
-    EXPECT_EQ(a.stars[i].estimated_rows, b.stars[i].estimated_rows);
-    EXPECT_EQ(a.stars[i].truncated, b.stars[i].truncated);
-  }
-  ASSERT_EQ(a.join_steps.size(), b.join_steps.size());
-  for (size_t i = 0; i < a.join_steps.size(); ++i) {
-    EXPECT_EQ(a.join_steps[i].step, b.join_steps[i].step);
-    EXPECT_EQ(a.join_steps[i].star_index, b.join_steps[i].star_index);
-    EXPECT_EQ(a.join_steps[i].star_center, b.join_steps[i].star_center);
-    EXPECT_EQ(a.join_steps[i].build_rows, b.join_steps[i].build_rows);
-    EXPECT_EQ(a.join_steps[i].output_rows, b.join_steps[i].output_rows);
-    EXPECT_EQ(a.join_steps[i].injectivity_drops,
-              b.join_steps[i].injectivity_drops);
-    EXPECT_EQ(a.join_steps[i].estimated_rows, b.join_steps[i].estimated_rows);
-    EXPECT_EQ(a.join_steps[i].overflow, b.join_steps[i].overflow);
-  }
+// The exact records the serializer has always produced for FullProfile()
+// and a default profile: the JSONL log and the version-2 response codec
+// carry these bytes, so any change to key order or number formatting is a
+// format change, not a refactor.
+TEST(QueryProfileJson, GoldenRecords) {
+  EXPECT_EQ(QueryProfileToJson(FullProfile()),
+            R"({"query_id": 42, "status": "resource_exhausted", )"
+            R"("timed_out_phase": "before join", "queue_wait_ms": 0.25, )"
+            R"("decomposition_ms": 1.5, "star_matching_ms": 2.75, )"
+            R"("join_ms": 3.125, "cloud_ms": 7.625, "network_ms": 1.0625, )"
+            R"("client_ms": 0.5, "client_expand_ms": 0.375, )"
+            R"("client_filter_ms": 0.0625, "total_ms": 9.1875, )"
+            R"("aux_build_ms": 0.4375, "aux_bytes": 65536, )"
+            R"("intersect_scalar": 11, "intersect_galloping": 12, )"
+            R"("intersect_simd": 13, "plan_cache_hit": true, )"
+            R"("overflowed": true, "num_stars": 3, "rs_size": 1234, )"
+            R"("result_rows": 99, "peak_join_rows": 512, )"
+            R"("client_candidates": 2048, "request_bytes": 321, )"
+            R"("response_bytes": 4567, "stars": [{"center": 1, )"
+            R"("kind": "path", "candidates": 10, "rows": 7, )"
+            R"("estimated_rows": 8.5, "truncated": true, "skipped": true}, )"
+            R"({"center": 2, "kind": "tree", "candidates": 20, "rows": 14, )"
+            R"("estimated_rows": 0.75, "truncated": true, )"
+            R"("skipped": true}], "join_steps": [{"step": 1, )"
+            R"("star_index": 4, "star_center": 2, "build_rows": 14, )"
+            R"("output_rows": 90, "injectivity_drops": 3, )"
+            R"("estimated_rows": 100, "overflow": true, "kind": "tree"}], )"
+            R"("shards": [{"shard": 1, "candidates": 6, "rows": 5, )"
+            R"("match_ms": 0.125, "exchange_ms": 0.0078125, )"
+            R"("exchanged_bytes": 777}]})");
+  EXPECT_EQ(QueryProfileToJson(QueryProfile{}),
+            R"({"query_id": 0, "status": "ok", "timed_out_phase": "", )"
+            R"("queue_wait_ms": 0, "decomposition_ms": 0, )"
+            R"("star_matching_ms": 0, "join_ms": 0, "cloud_ms": 0, )"
+            R"("network_ms": 0, "client_ms": 0, "client_expand_ms": 0, )"
+            R"("client_filter_ms": 0, "total_ms": 0, "aux_build_ms": 0, )"
+            R"("aux_bytes": 0, "intersect_scalar": 0, )"
+            R"("intersect_galloping": 0, "intersect_simd": 0, )"
+            R"("plan_cache_hit": false, "overflowed": false, )"
+            R"("num_stars": 0, "rs_size": 0, "result_rows": 0, )"
+            R"("peak_join_rows": 0, "client_candidates": 0, )"
+            R"("request_bytes": 0, "response_bytes": 0, "stars": [], )"
+            R"("join_steps": []})");
 }
 
 TEST(QueryProfileJson, RoundTripsEveryField) {
@@ -248,14 +286,14 @@ TEST(QueryProfileJson, RoundTripsEveryField) {
   const std::string json = QueryProfileToJson(original);
   auto parsed = QueryProfileFromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << json;
-  ExpectProfilesEqual(original, *parsed);
+  EXPECT_EQ(*parsed, original);
 }
 
 TEST(QueryProfileJson, DefaultProfileRoundTrips) {
   const QueryProfile original;
   auto parsed = QueryProfileFromJson(QueryProfileToJson(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectProfilesEqual(original, *parsed);
+  EXPECT_EQ(*parsed, original);
 }
 
 TEST(QueryProfileJson, UnknownKeysAreIgnored) {
@@ -292,6 +330,38 @@ TEST(QueryProfileJson, MalformedInputIsTypedError) {
   EXPECT_FALSE(QueryProfileFromJson("{\"query_id\": 1").ok());
 }
 
+TEST(QueryProfileJson, IntegersDecodeExactly) {
+  // 2^53 + 1 is the first integer a double cannot hold.
+  QueryProfile profile;
+  profile.query_id = 9007199254740993ull;
+  profile.aux_bytes = UINT64_MAX;
+  profile.stars.push_back({.center = UINT32_MAX});
+  auto parsed = QueryProfileFromJson(QueryProfileToJson(profile));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->query_id, 9007199254740993ull);
+  EXPECT_EQ(parsed->aux_bytes, UINT64_MAX);
+  EXPECT_EQ(*parsed, profile);
+}
+
+TEST(QueryProfileJson, NonIntegerOrOutOfRangeIntegersAreTypedErrors) {
+  for (const char* json : {
+           "{\"query_id\": 1.5}",
+           "{\"query_id\": 1e300}",
+           "{\"query_id\": -1}",
+           "{\"query_id\": 18446744073709551616}",
+           "{\"stars\": [{\"center\": 4294967301}]}",
+           "{\"join_steps\": [{\"step\": 1e2}]}",
+       }) {
+    const auto parsed = QueryProfileFromJson(json);
+    ASSERT_FALSE(parsed.ok()) << json;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << json;
+  }
+  // Double members keep accepting any JSON number.
+  auto doubles = QueryProfileFromJson("{\"cloud_ms\": 1e-3}");
+  ASSERT_TRUE(doubles.ok()) << doubles.status();
+  EXPECT_EQ(doubles->cloud_ms, 1e-3);
+}
+
 TEST(QueryProfileJson, EscapesStrings) {
   QueryProfile profile;
   profile.status = "weird \"quoted\"\nstatus\\";
@@ -326,7 +396,7 @@ TEST(ExportQueryLog, JsonlRoundTripsThroughParser) {
     ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << line;
     if (line.find("\"capture\": \"slow\"") != std::string::npos) {
       ++slow_lines;
-      ExpectProfilesEqual(FullProfile(), *parsed);
+      EXPECT_EQ(*parsed, FullProfile());
     } else {
       ASSERT_NE(line.find("\"capture\": \"ring\""), std::string::npos);
       ++ring_lines;

@@ -13,6 +13,7 @@
 #include "graph/serialize.h"
 #include "kauto/avt.h"
 #include "match/match_set.h"
+#include "query/query_api.h"
 #include "util/random.h"
 
 namespace ppsm {
@@ -131,6 +132,39 @@ TEST(FuzzRobustness, LctDeserializer) {
                 return Lct::Deserialize(bytes, schema).ok();
               },
               1007);
+}
+
+TEST(FuzzRobustness, QueryResponseDeserializer) {
+  // The client decodes these bytes straight off a server socket, profile
+  // JSON included, so every nested record kind is in the payload.
+  QueryResponse reply;
+  reply.tag = "fuzz";
+  reply.matches = MatchSet(2);
+  for (VertexId i = 0; i < 8; ++i) {
+    reply.matches.Append(std::vector<VertexId>{i, i + 50});
+  }
+  reply.cloud.query_id = 9007199254740993ull;
+  reply.cloud.cloud_ms = 1.25;
+  reply.cloud.aux_bytes = 4096;
+  reply.cloud.stars = {{.center = 3, .candidates = 9, .rows = 8,
+                        .estimated_rows = 7.5, .kind = "path"}};
+  reply.cloud.join_steps = {{.step = 0, .output_rows = 8,
+                             .estimated_rows = 6.25}};
+  reply.cloud.shards = {{.shard = 1, .rows = 8, .match_ms = 0.5,
+                         .exchanged_bytes = 128}};
+  FuzzDecoder(SerializeQueryResponse(reply),
+              [](std::span<const uint8_t> bytes) {
+                const Result<QueryResponse> decoded =
+                    DeserializeQueryResponse(bytes);
+                if (!decoded.ok()) {
+                  const StatusCode code = decoded.status().code();
+                  EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                              code == StatusCode::kOutOfRange)
+                      << decoded.status();
+                }
+                return decoded.ok();
+              },
+              1009);
 }
 
 TEST(FuzzRobustness, CloudSurvivesMalformedQueries) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/example_graphs.h"
 #include "query/query_api.h"
 
 namespace ppsm {
@@ -234,9 +235,32 @@ TEST(Wire, QueryResponseCarriesTheWholeProfile) {
   EXPECT_EQ(decoded->cloud.total_ms, 2.5);
   EXPECT_EQ(decoded->cloud.request_bytes, 88u);
   EXPECT_EQ(decoded->cloud.response_bytes, 164u);
+  EXPECT_EQ(decoded->cloud, reply.cloud);
 
   bytes[0] = 1;  // The codec version byte of the per-field layout.
   EXPECT_EQ(DeserializeQueryResponse(bytes).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A request is the pattern, the deadline and the tag; a payload from the
+// version-1 layout (which carried a sort flag) is refused.
+TEST(Wire, QueryRequestRoundTripsAndRefusesTheOldLayout) {
+  const RunningExample ex = MakeRunningExample();
+  QueryRequest request;
+  request.pattern = ex.query;
+  request.deadline_ms = 250;
+  request.tag = "q9";
+
+  std::vector<uint8_t> bytes = SerializeQueryRequest(request);
+  auto decoded = DeserializeQueryRequest(bytes, ex.schema);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->deadline_ms, 250u);
+  EXPECT_EQ(decoded->tag, "q9");
+  EXPECT_EQ(decoded->pattern.NumVertices(), ex.query.NumVertices());
+  EXPECT_EQ(decoded->pattern.NumEdges(), ex.query.NumEdges());
+
+  bytes[0] = 1;
+  EXPECT_EQ(DeserializeQueryRequest(bytes, ex.schema).status().code(),
             StatusCode::kInvalidArgument);
 }
 

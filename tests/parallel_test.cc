@@ -65,13 +65,15 @@ TEST(ParallelCloud, SameAnswersAsSerial) {
     ASSERT_TRUE(extracted.ok());
     auto request = owner->AnonymizeQueryToRequest(extracted->query);
     ASSERT_TRUE(request.ok());
-    auto a = serial->Serve(*request);
-    auto b = parallel->Serve(*request);
+    QueryProfile a_profile;
+    auto a = serial->Serve(*request, {.profile = &a_profile});
+    QueryProfile b_profile;
+    auto b = parallel->Serve(*request, {.profile = &b_profile});
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->response_payload, b->response_payload)
         << "parallel star matching changed the answer";
-    EXPECT_EQ(a->profile.rs_size, b->profile.rs_size);
+    EXPECT_EQ(a_profile.rs_size, b_profile.rs_size);
   }
 }
 

@@ -84,9 +84,9 @@ TEST(QueryObs, ReplyCarriesQueryIdAndPerPhaseProfiles) {
 
   std::set<uint64_t> seen_ids;
   for (const auto& request : fx.requests) {
-    auto answer = service.Execute(request);
+    QueryProfile stats;
+    auto answer = service.Execute(request, &stats);
     ASSERT_TRUE(answer.ok()) << answer.status();
-    const QueryProfile& stats = answer->profile;
 
     EXPECT_NE(stats.query_id, 0u);
     EXPECT_TRUE(seen_ids.insert(stats.query_id).second)
@@ -141,9 +141,10 @@ TEST(QueryObs, QueryIdPropagatesIntoSpanArgs) {
   QueryService service(&*server);
 
   Tracer::Global().Clear();
-  auto answer = service.Execute(fx.requests[0]);
+  QueryProfile profile;
+  auto answer = service.Execute(fx.requests[0], &profile);
   ASSERT_TRUE(answer.ok()) << answer.status();
-  const std::string want = std::to_string(answer->profile.query_id);
+  const std::string want = std::to_string(profile.query_id);
 
   bool server_span = false;
   bool service_span = false;

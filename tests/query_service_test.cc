@@ -113,18 +113,19 @@ TEST(QueryService, PlanCacheHitsOnRepeatAndKeepsAnswersIdentical) {
 
   const double hits_before =
       CounterValue("ppsm_cloud_plan_cache_hits_total");
-  auto first = server->Serve(fx.requests[0]);
+  QueryProfile profile;
+  auto first = server->Serve(fx.requests[0], {.profile = &profile});
   ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first->profile.plan_cache_hit);
+  EXPECT_FALSE(profile.plan_cache_hit);
   PlanCacheStats stats = server->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.capacity, 8u);
 
-  auto second = server->Serve(fx.requests[0]);
+  auto second = server->Serve(fx.requests[0], {.profile = &profile});
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->profile.plan_cache_hit);
+  EXPECT_TRUE(profile.plan_cache_hit);
   EXPECT_EQ(second->response_payload, first->response_payload)
       << "cached plan changed the answer";
   stats = server->plan_cache_stats();
@@ -134,9 +135,9 @@ TEST(QueryService, PlanCacheHitsOnRepeatAndKeepsAnswersIdentical) {
   EXPECT_GT(CounterValue("ppsm_cloud_plan_cache_hits_total"), hits_before);
 
   // A different query is a miss, not a false hit.
-  auto third = server->Serve(fx.requests[1]);
+  auto third = server->Serve(fx.requests[1], {.profile = &profile});
   ASSERT_TRUE(third.ok());
-  EXPECT_FALSE(third->profile.plan_cache_hit);
+  EXPECT_FALSE(profile.plan_cache_hit);
   EXPECT_EQ(server->plan_cache_stats().misses, 2u);
 }
 
@@ -147,9 +148,10 @@ TEST(QueryService, PlanCacheDisabledNeverCounts) {
   auto server = CloudServer::Host(fx.owner.upload_bytes(), config);
   ASSERT_TRUE(server.ok());
   for (int i = 0; i < 3; ++i) {
-    auto answer = server->Serve(fx.requests[0]);
+    QueryProfile profile;
+    auto answer = server->Serve(fx.requests[0], {.profile = &profile});
     ASSERT_TRUE(answer.ok());
-    EXPECT_FALSE(answer->profile.plan_cache_hit);
+    EXPECT_FALSE(profile.plan_cache_hit);
   }
   const PlanCacheStats stats = server->plan_cache_stats();
   EXPECT_EQ(stats.hits, 0u);

@@ -137,18 +137,20 @@ TEST(UnitPipeline, ShardsByteIdenticalWithDeepUnits) {
     ASSERT_TRUE(cluster.ok()) << cluster.status();
 
     for (size_t i = 0; i < fx.requests.size(); ++i) {
-      auto want = server->Serve(fx.requests[i]);
+      QueryProfile want_profile;
+      auto want = server->Serve(fx.requests[i], {.profile = &want_profile});
       ASSERT_TRUE(want.ok()) << want.status();
-      auto got = cluster->Serve(fx.requests[i]);
+      QueryProfile got_profile;
+      auto got = cluster->Serve(fx.requests[i], {.profile = &got_profile});
       ASSERT_TRUE(got.ok()) << got.status();
       EXPECT_EQ(got->response_payload, want->response_payload)
           << "shards=" << num_shards << " query=" << i;
-      ASSERT_EQ(got->profile.num_stars, want->profile.num_stars);
-      ASSERT_EQ(got->profile.stars.size(), want->profile.stars.size());
-      for (size_t u = 0; u < got->profile.stars.size(); ++u) {
-        EXPECT_EQ(got->profile.stars[u].kind, want->profile.stars[u].kind)
+      ASSERT_EQ(got_profile.num_stars, want_profile.num_stars);
+      ASSERT_EQ(got_profile.stars.size(), want_profile.stars.size());
+      for (size_t u = 0; u < got_profile.stars.size(); ++u) {
+        EXPECT_EQ(got_profile.stars[u].kind, want_profile.stars[u].kind)
             << "shards=" << num_shards << " query=" << i << " unit=" << u;
-        if (want->profile.stars[u].kind != "star") saw_deep_unit = true;
+        if (want_profile.stars[u].kind != "star") saw_deep_unit = true;
       }
     }
   }
