@@ -14,6 +14,7 @@
 #include "ilp/cover_solver.h"
 #include "match/decomposition.h"
 #include "match/result_join.h"
+#include "tests/join_oracle.h"
 #include "util/random.h"
 
 namespace ppsm::bench {
@@ -81,7 +82,7 @@ void AblateRinTransfer(const BenchDataset& dataset, size_t queries) {
       auto rin = MatchSet::Deserialize(answer->response_payload);
       if (!rin.ok()) continue;
       const MatchSet full =
-          ExpandByAutomorphisms(*rin, system->owner().kag().avt);
+          join_oracle::ExpandByAutomorphisms(*rin, system->owner().kag().avt);
       full_bytes += static_cast<double>(full.Serialize().size());
       ++done;
     }

@@ -1,8 +1,9 @@
 #include "cloud/data_owner.h"
 
+#include <utility>
+
 #include "cloud/cluster.h"
 #include "kauto/outsourced_graph.h"
-#include "match/result_join.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/timer.h"
@@ -40,8 +41,9 @@ struct OwnerMetrics {
           r.counter("ppsm_setup_runs_total", "Offline pipeline executions");
       metrics.responses = r.counter("ppsm_client_responses_total",
                                     "Cloud responses post-processed");
-      metrics.candidates = r.counter("ppsm_client_candidates_total",
-                                     "|R(Qo,Gk)| rows examined (Alg. 3)");
+      metrics.candidates =
+          r.counter("ppsm_client_candidates_total",
+                    "(Rin row, shift) pairs examined (Alg. 3)");
       metrics.results =
           r.counter("ppsm_client_results_total", "Exact |R(Q,G)| rows kept");
       metrics.lct_ms = r.histogram("ppsm_setup_lct_ms",
@@ -61,7 +63,7 @@ struct OwnerMetrics {
                       "Offline pipeline end-to-end time");
       metrics.expand_ms = r.histogram("ppsm_client_expand_ms",
                                       DefaultLatencyBucketsMs(),
-                                      "Automorphic expansion time (Alg. 3)");
+                                      "Shift selection time (Alg. 3)");
       metrics.filter_ms =
           r.histogram("ppsm_client_filter_ms", DefaultLatencyBucketsMs(),
                       "False-positive elimination time (Alg. 3)");
@@ -265,64 +267,95 @@ Result<MatchSet> DataOwner::ProcessResponse(
   PPSM_TRACE_SPAN_CAT("client.process_response", "query");
   PPSM_ASSIGN_OR_RETURN(const MatchSet rin,
                         MatchSet::Deserialize(response_payload));
-  if (rin.arity() != query.NumVertices()) {
+  const size_t arity = query.NumVertices();
+  if (rin.arity() != arity) {
     return Status::InvalidArgument(
         "response arity disagrees with the query");
   }
+  // A cell outside the AVT has no image under F_m. The baseline response is
+  // R(Qo,Gk) itself and is never shifted; its unknown ids fail the noise
+  // test below and the row is dropped.
+  if (!baseline_) {
+    for (size_t r = 0; r < rin.NumMatches(); ++r) {
+      for (const VertexId v : rin.Get(r)) {
+        if (!kag_.avt.Contains(v)) {
+          return Status::InvalidArgument(
+              "response names a vertex outside Gk");
+        }
+      }
+    }
+  }
 
-  // Lines 1-5: R(Qo,Gk) = Rin ∪ F_1(Rin) ∪ ... ∪ F_{k-1}(Rin). The baseline
-  // response is R(Qo,Gk) already.
+  // Algorithm 3 without materializing R(Qo,Gk) = F_0(Rin) ∪ ... ∪
+  // F_{k-1}(Rin): the filter (lines 6-23) is a predicate on one row, so
+  // filtering each image F_m(r) and deduplicating the survivors yields the
+  // same sorted set as deduplicating the whole expansion first. The
+  // baseline response is R(Qo,Gk) already: one shift, the identity.
+  const uint32_t shifts = baseline_ ? 1 : kag_.avt.k();
+  const auto image = [&](VertexId v, uint32_t m) {
+    return m == 0 ? v : kag_.avt.Apply(v, m);
+  };
+
+  // Pass 1 (shift selection): keep the (row, shift) pairs whose every cell
+  // maps to an original vertex carrying the query vertex's types and
+  // labels, rejecting a pair at its first failing cell.
   WallTimer phase_timer;
-  MatchSet candidates = [&] {
+  std::vector<std::pair<size_t, uint32_t>> survivors;
+  {
     PPSM_TRACE_SPAN_CAT("client.expand", "query");
-    return baseline_ ? rin : ExpandByAutomorphisms(rin, kag_.avt);
-  }();
+    const size_t original_vertices = kag_.num_original_vertices;
+    for (size_t r = 0; r < rin.NumMatches(); ++r) {
+      const auto row = rin.Get(r);
+      for (uint32_t m = 0; m < shifts; ++m) {
+        bool keep = true;
+        for (size_t q = 0; keep && q < arity; ++q) {
+          const VertexId w = image(row[q], m);
+          const auto qv = static_cast<VertexId>(q);
+          keep = w < original_vertices &&
+                 graph_.TypesContainAll(w, query.Types(qv)) &&
+                 graph_.LabelsContainAll(w, query.Labels(qv));
+        }
+        if (keep) survivors.emplace_back(r, m);
+      }
+    }
+  }
   const double expand_ms = phase_timer.ElapsedMillis();
 
-  // Lines 6-23: drop matches with vertices/edges missing from G or labels
-  // that do not satisfy the original query.
+  // Pass 2 (verification): injectivity and every query edge on G's sorted
+  // CSR (binary search on the shorter list), then sort the few survivors.
   phase_timer.Restart();
-  PPSM_TRACE_SPAN_CAT("client.filter", "query");
-  MatchSet results(query.NumVertices());
-  const size_t original_vertices = kag_.num_original_vertices;
-  for (size_t r = 0; r < candidates.NumMatches(); ++r) {
-    const auto match = candidates.Get(r);
-    bool keep = !MatchSet::HasDuplicateVertices(match);
-    for (size_t q = 0; keep && q < match.size(); ++q) {
-      const VertexId v = match[q];
-      if (v >= original_vertices) {
-        keep = false;  // Noise vertex (or id outside G).
-        break;
+  MatchSet results(arity);
+  {
+    PPSM_TRACE_SPAN_CAT("client.filter", "query");
+    std::vector<VertexId> match(arity);
+    for (const auto& [r, m] : survivors) {
+      const auto row = rin.Get(r);
+      for (size_t q = 0; q < arity; ++q) match[q] = image(row[q], m);
+      bool keep = !MatchSet::HasDuplicateVertices(match);
+      if (keep) {
+        query.ForEachEdge([&](VertexId a, VertexId b) {
+          if (keep && !graph_.HasEdge(match[a], match[b])) keep = false;
+        });
       }
-      if (!graph_.TypesContainAll(v, query.Types(static_cast<VertexId>(q))) ||
-          !graph_.LabelsContainAll(v,
-                                   query.Labels(static_cast<VertexId>(q)))) {
-        keep = false;
-      }
+      if (keep) results.Append(match);
     }
-    if (keep) {
-      // Edge check on G's sorted CSR (binary search on the shorter list).
-      query.ForEachEdge([&](VertexId a, VertexId b) {
-        if (keep && !graph_.HasEdge(match[a], match[b])) keep = false;
-      });
-    }
-    if (keep) results.Append(match);
+    results.SortDedup();
   }
-  results.SortDedup();
 
   const double filter_ms = phase_timer.ElapsedMillis();
   const double total_ms = total_timer.ElapsedMillis();
+  const size_t candidates = shifts * rin.NumMatches();
   const OwnerMetrics& metrics = OwnerMetrics::Get();
   metrics.expand_ms.Observe(expand_ms);
   metrics.filter_ms.Observe(filter_ms);
   metrics.client_total_ms.Observe(total_ms);
-  metrics.candidates.Increment(candidates.NumMatches());
+  metrics.candidates.Increment(candidates);
   metrics.results.Increment(results.NumMatches());
   metrics.responses.Increment();
   if (stats != nullptr) {
     stats->expand_ms = expand_ms;
     stats->filter_ms = filter_ms;
-    stats->candidates = candidates.NumMatches();
+    stats->candidates = candidates;
     stats->results = results.NumMatches();
     stats->total_ms = total_ms;
   }

@@ -97,17 +97,25 @@ class DataOwner {
       const AttributedGraph& query) const;
 
   struct ClientStats {
-    double expand_ms = 0.0;  // Rout computation (skipped for baseline).
-    double filter_ms = 0.0;  // False-positive elimination against G.
+    double expand_ms = 0.0;  // Pass 1: per-cell shift selection.
+    double filter_ms = 0.0;  // Pass 2: injectivity + edges in G, sort.
     double total_ms = 0.0;
-    size_t candidates = 0;  // |R(Qo,Gk)| examined.
-    size_t results = 0;     // |R(Q,G)|.
+    /// (row, shift) pairs examined: k·|Rin|, or |Rin| for the baseline.
+    /// For an anchored Rin every pair is a distinct row of R(Qo,Gk), so this
+    /// equals |R(Qo,Gk)|.
+    size_t candidates = 0;
+    size_t results = 0;  // |R(Q,G)|.
   };
 
-  /// Algorithm 3: expands Rin with the automorphic functions (unless the
-  /// upload was the baseline, whose response is already R(Qo,Gk)), then
-  /// filters matches whose vertices, edges or labels do not exist in G.
-  /// `query` must be the original (un-anonymized) Q the response answers.
+  /// Algorithm 3: R(Q,G) from the cloud's Rin without materializing
+  /// R(Qo,Gk). Pass 1 tests each (Rin row, automorphic shift) pair cell by
+  /// cell — the image must be an original vertex of G carrying the query
+  /// vertex's types and labels. Pass 2 builds only the surviving images,
+  /// drops those that repeat a vertex or miss a query edge in G, and
+  /// sort-deduplicates the rest. The baseline response is R(Qo,Gk) already
+  /// and takes the identity shift only. `query` must be the original
+  /// (un-anonymized) Q the response answers. A non-baseline response naming
+  /// a vertex outside Gk is InvalidArgument.
   Result<MatchSet> ProcessResponse(const AttributedGraph& query,
                                    std::span<const uint8_t> response_payload,
                                    ClientStats* stats = nullptr) const;

@@ -87,11 +87,6 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& units,
                                  const JoinOptions& options,
                                  JoinDiagnostics* diagnostics = nullptr);
 
-/// Expands a Go-side match set to its Gk closure: union of F_m(matches) for
-/// m = 0..k-1, deduplicated. The client's Rout computation (Algorithm 3
-/// lines 1-5).
-MatchSet ExpandByAutomorphisms(const MatchSet& matches, const Avt& avt);
-
 }  // namespace ppsm
 
 #endif  // PPSM_MATCH_RESULT_JOIN_H_

@@ -90,8 +90,8 @@ struct QueryProfile {
   double cloud_ms = 0.0;    // Cloud evaluation total.
   double network_ms = 0.0;  // Simulated request + response transfer.
   double client_ms = 0.0;   // Algorithm 3 post-processing, total.
-  double client_expand_ms = 0.0;  // Rout expansion share of client_ms.
-  double client_filter_ms = 0.0;  // False-positive filter share.
+  double client_expand_ms = 0.0;  // Shift-selection share of client_ms.
+  double client_filter_ms = 0.0;  // Injectivity + edge check and sort.
   double total_ms = 0.0;    // End to end (0 until annotated).
   /// Query-local auxiliary graph (match/aux_graph.h): build wall time and
   /// footprint, both 0 when the aux path is disabled.
@@ -111,7 +111,7 @@ struct QueryProfile {
   uint64_t rs_size = 0;       // Total unit matches |RS|.
   uint64_t result_rows = 0;   // |Rin| rows returned.
   uint64_t peak_join_rows = 0;  // Largest intermediate join state.
-  uint64_t client_candidates = 0;  // |R(Qo,Gk)| the client examined.
+  uint64_t client_candidates = 0;  // (Rin row, shift) pairs examined.
   uint64_t request_bytes = 0;   // Serialized Qo over the channel.
   uint64_t response_bytes = 0;  // Serialized reply over the channel.
 

@@ -127,6 +127,46 @@ TEST(DataOwner, BaselineSkipsExpansion) {
   EXPECT_EQ(results->NumMatches(), 1u);
 }
 
+TEST(DataOwner, ResponseNamingVertexOutsideGkIsInvalidArgument) {
+  // A hostile cloud can name any id. Outside the AVT an id has no image
+  // under F_m, so the response is rejected before any shift is applied.
+  const RunningExample ex = MakeRunningExample();
+  DataOwnerOptions options;
+  options.k = 2;
+  auto owner = DataOwner::Create(ex.graph, ex.schema, options);
+  ASSERT_TRUE(owner.ok());
+  const auto gk_vertices =
+      static_cast<VertexId>(owner->kag().gk.NumVertices());
+  const MatchSet truth = FindSubgraphMatches(ex.query, ex.graph);
+  ASSERT_GE(truth.NumMatches(), 1u);
+
+  MatchSet far(ex.query.NumVertices());
+  far.Append(std::vector<VertexId>{0x7fffff00u, 0x7fffff01u, 0x7fffff02u,
+                                   0x7fffff03u, 0x7fffff04u});
+  MatchSet just_past(ex.query.NumVertices());
+  just_past.Append(truth.Get(0));  // A genuine row does not excuse the next.
+  std::vector<VertexId> row(truth.Get(0).begin(), truth.Get(0).end());
+  row[2] = gk_vertices;
+  just_past.Append(row);
+  for (const MatchSet* response : {&far, &just_past}) {
+    auto results = owner->ProcessResponse(ex.query, response->Serialize());
+    ASSERT_FALSE(results.ok());
+    EXPECT_EQ(results.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // The baseline applies no function: the row fails the noise test and is
+  // dropped, and the genuine row survives.
+  options.baseline_upload = true;
+  auto baseline = DataOwner::Create(ex.graph, ex.schema, options);
+  ASSERT_TRUE(baseline.ok());
+  auto far_results = baseline->ProcessResponse(ex.query, far.Serialize());
+  ASSERT_TRUE(far_results.ok()) << far_results.status();
+  EXPECT_EQ(far_results->NumMatches(), 0u);
+  auto results = baseline->ProcessResponse(ex.query, just_past.Serialize());
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_EQ(results->NumMatches(), 1u);
+}
+
 TEST(DataOwner, EndToEndAgainstCloudServer) {
   // Owner + server round trip without the facade.
   const auto g = GenerateDataset(DbpediaLike(0.01));

@@ -13,6 +13,7 @@
 #include "graph/serialize.h"
 #include "kauto/avt.h"
 #include "match/match_set.h"
+#include "match/subgraph_matcher.h"
 #include "query/query_api.h"
 #include "util/random.h"
 
@@ -165,6 +166,70 @@ TEST(FuzzRobustness, QueryResponseDeserializer) {
                 return decoded.ok();
               },
               1009);
+}
+
+TEST(FuzzRobustness, ProcessResponse) {
+  // The client shifts every cell of a response through the AVT, so a cloud
+  // that names ids outside Gk must get a typed error, not an out-of-bounds
+  // read. Random arities and ids from the interesting ranges: original,
+  // noise, just past Gk and near the top of the id space.
+  const RunningExample ex = MakeRunningExample();
+  for (const bool baseline : {false, true}) {
+    for (const uint32_t k : {2u, 3u}) {
+      DataOwnerOptions options;
+      options.k = k;
+      options.baseline_upload = baseline;
+      auto owner = DataOwner::Create(ex.graph, ex.schema, options);
+      ASSERT_TRUE(owner.ok());
+      const auto original = static_cast<VertexId>(ex.graph.NumVertices());
+      const auto gk = static_cast<VertexId>(owner->kag().gk.NumVertices());
+      Rng rng(1010 + k + (baseline ? 100 : 0));
+      const auto draw = [&]() -> VertexId {
+        switch (rng.Below(6)) {
+          case 0:
+            return static_cast<VertexId>(rng.Below(original));
+          case 1:
+            return static_cast<VertexId>(rng.Below(gk));
+          case 2:
+            return gk + static_cast<VertexId>(rng.Below(3));
+          case 3:
+            return 0x7fffff00u + static_cast<VertexId>(rng.Below(256));
+          case 4:
+            return UINT32_MAX - static_cast<VertexId>(rng.Below(3));
+          default:
+            return original - 1 + static_cast<VertexId>(rng.Below(3));
+        }
+      };
+      const auto decode = [&](std::span<const uint8_t> bytes) {
+        const Result<MatchSet> results =
+            owner->ProcessResponse(ex.query, bytes);
+        if (!results.ok()) {
+          const StatusCode code = results.status().code();
+          EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                      code == StatusCode::kOutOfRange)
+              << results.status();
+        }
+        return results.ok();
+      };
+      for (int trial = 0; trial < 300; ++trial) {
+        // Mostly the query's arity, so the cells reach the shift loop.
+        const size_t arity = rng.Below(4) == 0
+                                 ? rng.Below(8)
+                                 : ex.query.NumVertices();
+        MatchSet response(arity);
+        const size_t rows = rng.Below(6);
+        std::vector<VertexId> row(arity);
+        for (size_t r = 0; r < rows; ++r) {
+          for (VertexId& v : row) v = draw();
+          response.Append(row);
+        }
+        decode(response.Serialize());
+      }
+      // Byte-level mutations of a genuine response.
+      MatchSet genuine = FindSubgraphMatches(ex.query, ex.graph);
+      FuzzDecoder(genuine.Serialize(), decode, 1011 + k);
+    }
+  }
 }
 
 TEST(FuzzRobustness, CloudSurvivesMalformedQueries) {

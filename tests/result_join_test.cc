@@ -13,9 +13,12 @@
 #include "match/subgraph_matcher.h"
 #include "match/unit_matcher.h"
 #include "util/random.h"
+#include "join_oracle.h"
 
 namespace ppsm {
 namespace {
+
+using join_oracle::ExpandByAutomorphisms;
 
 struct CloudFixture {
   AttributedGraph g;
