@@ -4,6 +4,7 @@
 // degrading fastest with k and |E(Q)|.
 
 #include <iostream>
+#include <string>
 
 #include "bench/bench_common.h"
 
@@ -45,7 +46,12 @@ void Run() {
             std::cerr << agg.status() << "\n";
             return;
           }
-          row.push_back(Table::Num(agg->total_ms, 3));
+          // "-": every query was refused at the row cap; "*": some were
+          // (the average covers the answered ones only).
+          std::string cell =
+              agg->queries == 0 ? "-" : Table::Num(agg->total_ms, 3);
+          if (agg->refused > 0 && agg->queries > 0) cell += "*";
+          row.push_back(std::move(cell));
         }
       }
       table.AddRow(row);

@@ -188,6 +188,9 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   TraceSpan query_span(Tracer::Global(), "cloud.answer_query", "query");
   query_span.AddArg("query_id", profile.query_id);
   const CloudMetrics& metrics = CloudMetrics::Get();
+  // Root shortlists, computed on first read and shared by the planner and
+  // the matcher: a plan-cache hit pays only for its unit roots.
+  std::vector<RootCandidates> spaces = CandidateSpaces(qo);
 
   // Phase 1: cost-model query decomposition (exact ILP) over generalized
   // units — stars always, paths/trees up to the depth the hosted radius
@@ -218,7 +221,7 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   } else {
     Result<UnitDecomposition> decomposition_or = [&] {
       PPSM_TRACE_SPAN_CAT("cloud.decompose", "query");
-      return DecomposeQueryUnits(qo, stats_, RootCandidateDegrees(qo),
+      return DecomposeQueryUnits(qo, stats_, RootCandidateDegrees(spaces),
                                  EffectiveUnitDepth());
     }();
     PPSM_ASSIGN_OR_RETURN(decomposition, std::move(decomposition_or));
@@ -260,7 +263,8 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
     span.AddArg("query_id", profile.query_id);
     span.AddArg("num_stars", static_cast<uint64_t>(
                                  decomposition.units.size()));
-    return MatchUnitRows(qo, decomposition.units, unit_options, &profile);
+    return MatchUnitRows(qo, decomposition.units, unit_options, spaces,
+                         &profile);
   }();
   PPSM_ASSIGN_OR_RETURN(std::vector<UnitMatches> stars, std::move(stars_or));
   // Per-unit profiles (the cost-model calibration inputs) are filled before
@@ -461,15 +465,25 @@ Result<CloudServer> CloudServer::HostImpl(UploadPackage package,
   return server;
 }
 
-RootDegrees CloudServer::RootCandidateDegrees(
+std::vector<RootCandidates> CloudServer::CandidateSpaces(
     const AttributedGraph& qo) const {
-  return ShortlistRootDegrees(qo, data_, index_);
+  std::vector<RootCandidates> spaces;
+  spaces.emplace_back(index_, qo);
+  return spaces;
+}
+
+RootDegrees CloudServer::RootCandidateDegrees(
+    std::span<RootCandidates> spaces) const {
+  return ShortlistRootDegrees(data_, spaces[0]);
 }
 
 Result<std::vector<UnitMatches>> CloudServer::MatchUnitRows(
     const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-    const UnitMatchOptions& options, QueryProfile* /*profile*/) const {
-  return MatchUnits(data_, index_, qo, units, options);
+    const UnitMatchOptions& options, std::span<RootCandidates> spaces,
+    QueryProfile* /*profile*/) const {
+  UnitMatchOptions own = options;
+  own.root_candidates = &spaces[0];
+  return MatchUnits(data_, index_, qo, units, own);
 }
 
 }  // namespace ppsm

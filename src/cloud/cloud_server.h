@@ -69,7 +69,11 @@ struct PlanCacheStats {
 /// ILP), match the units, translate their rows to Gk ids, join them into Rin
 /// (R(Qo,Gk) for the baseline) and encode it — with the deadline
 /// checkpoints, row-cap refusals, `cloud.*` spans and `ppsm_cloud_*` metrics
-/// written once. A host supplies only the two steps that differ:
+/// written once. A host supplies only the steps that differ:
+///   * CandidateSpaces — the query's candidate space over each hosted index
+///     (one on the server, one per shard on the cluster), made once per
+///     query and shared by the two steps below, so every root shortlist is
+///     computed at most once per query;
 ///   * RootCandidateDegrees — where the planner's root candidates come from
 ///     (the server's own index, or the coordinator's merge of the shards'
 ///     owned shortlists);
@@ -123,9 +127,15 @@ class CloudQueryDriver {
  protected:
   explicit CloudQueryDriver(const CloudConfig& config);
 
+  /// The query's candidate spaces, one per hosted index, nothing computed
+  /// yet. Both steps below receive this same list.
+  virtual std::vector<RootCandidates> CandidateSpaces(
+      const AttributedGraph& qo) const = 0;
+
   /// Planning step: the root-candidate degrees of every query vertex
   /// (match/decomposition.h RootDegrees).
-  virtual RootDegrees RootCandidateDegrees(const AttributedGraph& qo) const = 0;
+  virtual RootDegrees RootCandidateDegrees(
+      std::span<RootCandidates> spaces) const = 0;
 
   /// Matching step: one UnitMatches per unit, aligned with `units`, rows in
   /// Go-local ids. `options` carries the driver's row cap, worker count,
@@ -133,7 +143,8 @@ class CloudQueryDriver {
   /// fill host-specific fields of `profile` (the cluster's shard profiles).
   virtual Result<std::vector<UnitMatches>> MatchUnitRows(
       const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-      const UnitMatchOptions& options, QueryProfile* profile) const = 0;
+      const UnitMatchOptions& options, std::span<RootCandidates> spaces,
+      QueryProfile* profile) const = 0;
 
   CloudConfig config_;
   uint32_t hops_ = 1;
@@ -189,10 +200,13 @@ class CloudServer : public CloudQueryDriver {
                                       const CloudConfig& config,
                                       bool slice);
 
-  RootDegrees RootCandidateDegrees(const AttributedGraph& qo) const override;
+  std::vector<RootCandidates> CandidateSpaces(
+      const AttributedGraph& qo) const override;
+  RootDegrees RootCandidateDegrees(
+      std::span<RootCandidates> spaces) const override;
   Result<std::vector<UnitMatches>> MatchUnitRows(
       const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-      const UnitMatchOptions& options,
+      const UnitMatchOptions& options, std::span<RootCandidates> spaces,
       QueryProfile* profile) const override;
 
   bool baseline_ = false;

@@ -295,19 +295,27 @@ size_t CloudCluster::ExchangedBytes() const {
   return total;
 }
 
-RootDegrees CloudCluster::RootCandidateDegrees(
+std::vector<RootCandidates> CloudCluster::CandidateSpaces(
     const AttributedGraph& qo) const {
+  std::vector<RootCandidates> spaces;
+  spaces.reserve(shards_.size());
+  for (const CloudServer& shard : shards_) spaces.emplace_back(shard.index(), qo);
+  return spaces;
+}
+
+RootDegrees CloudCluster::RootCandidateDegrees(
+    std::span<RootCandidates> spaces) const {
   // Each shard shortlists its owned root candidates (their slice verdicts
   // equal the global ones — an owned vertex's adjacency is complete in its
   // slice); the disjoint lists merge into ascending global order, which is
   // the unsharded shortlist, so the estimator reproduces the unsharded cost
   // sums bit for bit.
-  RootDegrees degrees(qo.NumVertices());
+  RootDegrees degrees(spaces[0].query().NumVertices());
   std::vector<VertexId> merged;
-  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
+  for (VertexId v = 0; v < degrees.size(); ++v) {
     merged.clear();
     for (size_t s = 0; s < shards_.size(); ++s) {
-      for (const VertexId l : shards_[s].index().CandidateCenters(qo, v)) {
+      for (const VertexId l : spaces[s].Of(v)) {
         if (owned_[s][l] != 0) merged.push_back(to_global_[s][l]);
       }
     }
@@ -320,7 +328,8 @@ RootDegrees CloudCluster::RootCandidateDegrees(
 
 Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
     const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-    const UnitMatchOptions& options, QueryProfile* profile) const {
+    const UnitMatchOptions& options, std::span<RootCandidates> spaces,
+    QueryProfile* profile) const {
   const ClusterMetrics& metrics = ClusterMetrics::Get();
   // Shard-local unit matching. Every shard matches the same units over its
   // slice, restricted to its owned candidate roots; rows come back in
@@ -342,6 +351,7 @@ Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
     shard_options.candidate_filter = [&owned](VertexId v) {
       return owned[v] != 0;
     };
+    shard_options.root_candidates = &spaces[s];
     shard_rows[s] = [&] {
       TraceSpan span(Tracer::Global(), "cluster.shard_match", "query");
       span.AddArg("query_id", profile->query_id);

@@ -83,10 +83,13 @@ class CloudCluster : public CloudQueryDriver {
   explicit CloudCluster(const CloudConfig& config)
       : CloudQueryDriver(config) {}
 
-  RootDegrees RootCandidateDegrees(const AttributedGraph& qo) const override;
+  std::vector<RootCandidates> CandidateSpaces(
+      const AttributedGraph& qo) const override;
+  RootDegrees RootCandidateDegrees(
+      std::span<RootCandidates> spaces) const override;
   Result<std::vector<UnitMatches>> MatchUnitRows(
       const AttributedGraph& qo, const std::vector<QueryUnit>& units,
-      const UnitMatchOptions& options,
+      const UnitMatchOptions& options, std::span<RootCandidates> spaces,
       QueryProfile* profile) const override;
 
   std::vector<CloudServer> shards_;

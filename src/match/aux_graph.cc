@@ -1,6 +1,8 @@
 #include "match/aux_graph.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 
 #include "match/index.h"
 #include "util/parallel.h"
@@ -15,15 +17,11 @@ namespace {
 /// read-modify-write, not atomic) — same layout as CloudIndex::Build.
 constexpr size_t kBlock = 64;
 
-/// Materialization cap: a candidate list only ever beats the bitmap-filter
-/// walk when it is several times smaller than the adjacency it intersects
-/// (the unit matcher's SlotCandidates uses kListWalkCrossover = 4), so a
-/// class spanning a large fraction of the data graph can never win — its
-/// O(candidates) materialization would be pure build cost. The constant term
-/// keeps small graphs (tests, benches) fully materialized.
-size_t MaterializeCap(size_t num_data) { return num_data / 16 + 256; }
-
 }  // namespace
+
+size_t QueryAuxGraph::MaterializeCap(size_t num_data) {
+  return num_data / 16 + 256;
+}
 
 QueryAuxGraph QueryAuxGraph::Build(const AttributedGraph& data,
                                    const AttributedGraph& qo,
@@ -64,6 +62,10 @@ QueryAuxGraph QueryAuxGraph::Build(const AttributedGraph& data,
   const bool use_index =
       index != nullptr && index->num_leaf_vertices() == num_data;
 
+  // Per class, an ascending superset of its members to list it from
+  // (a group posting list), or none: then the class bitmap is scanned.
+  std::vector<std::optional<std::span<const VertexId>>> superset(
+      num_classes);
   if (use_index) {
     // Fast path: class bitmap = AND of the index's precomputed leaf VBVs —
     // O(constraints) word-level ANDs per class, no per-query graph scan.
@@ -92,6 +94,12 @@ QueryAuxGraph QueryAuxGraph::Build(const AttributedGraph& data,
       }
       for (const LabelId l : qo.Labels(reps[c])) {
         bits &= index->LeafGroupVbv(l);
+        // Every class member carries l, so the shortest posting list of
+        // the class's groups is a superset of the class.
+        const std::span<const VertexId> postings = index->GroupPostings(l);
+        if (!superset[c] || postings.size() < superset[c]->size()) {
+          superset[c] = postings;
+        }
       }
     }
     for (const size_t c : oob_classes) {
@@ -174,20 +182,31 @@ QueryAuxGraph QueryAuxGraph::Build(const AttributedGraph& data,
     });
   }
 
-  // Materialize each small-enough bitmap as its sorted candidate list
-  // (ForEachSetBit is ascending, so the list is born sorted +
-  // duplicate-free). Classes above the cap stay bitmap-only — see
+  // Materialize each small-enough bitmap as its sorted candidate list:
+  // filtering an ascending superset through the bitmap, or scanning the
+  // bitmap (ascending) when there is none, gives the same sorted,
+  // duplicate-free list. Classes above the cap stay bitmap-only — see
   // ClassMaterialized. Classes are independent, so this axis parallelizes
   // trivially.
   const size_t cap = MaterializeCap(num_data);
   ParallelFor(num_threads, num_classes, [&](size_t c) {
-    const size_t count = aux.class_bits_[c].Count();
-    if (count > cap) return;
+    const BitVector& bits = aux.class_bits_[c];
+    // A superset within the cap bounds the class without counting it.
+    const size_t bound = superset[c] && superset[c]->size() <= cap
+                             ? superset[c]->size()
+                             : bits.Count();
+    if (bound > cap) return;
     aux.materialized_[c] = 1;
     std::vector<VertexId>& out = aux.class_candidates_[c];
-    out.reserve(count);
-    aux.class_bits_[c].ForEachSetBit(
-        [&out](size_t dv) { out.push_back(static_cast<VertexId>(dv)); });
+    out.reserve(bound);
+    if (superset[c]) {
+      for (const VertexId dv : *superset[c]) {
+        if (bits.Test(dv)) out.push_back(dv);
+      }
+    } else {
+      bits.ForEachSetBit(
+          [&out](size_t dv) { out.push_back(static_cast<VertexId>(dv)); });
+    }
   });
   return aux;
 }

@@ -41,9 +41,12 @@ class QueryAuxGraph {
   /// Builds the per-query classes. With `index` (the CloudIndex hosted for
   /// `data`), each class bitmap is an AND of the index's precomputed leaf
   /// VBVs — O(classes × constraints) word operations, no per-query graph
-  /// scan; classes whose signature mentions an id outside the index's bit
-  /// spaces fall back to a containment scan (the index ignores such ids, but
-  /// byte-identity with matcher_internal::LeafCompatible must not).
+  /// scan — and a materialized class with a group is listed by filtering
+  /// that class's shortest group posting list through its bitmap rather
+  /// than by scanning the bitmap; classes whose signature mentions an id
+  /// outside the index's bit spaces fall back to a containment scan (the
+  /// index ignores such ids, but byte-identity with
+  /// matcher_internal::LeafCompatible must not).
   /// Without an index (nullptr, or one built over a different graph), the
   /// whole build runs one pass over the CSR attribute pools. `num_threads >
   /// 1` parallelizes over 64-aligned data-vertex blocks (each block owns a
@@ -58,6 +61,16 @@ class QueryAuxGraph {
 
   /// Compatibility class of query vertex `qv`.
   size_t ClassOf(VertexId qv) const { return class_of_[qv]; }
+
+  /// Materialization cap over a data graph of `num_data` vertices: a class
+  /// gets a candidate list iff it has at most this many members. A list
+  /// only ever beats the bitmap-filter walk when it is several times
+  /// smaller than the adjacency it intersects (the unit matcher's
+  /// SlotCandidates uses kListWalkCrossover = 4), so a class spanning a
+  /// large fraction of the data graph can never win — its O(candidates)
+  /// materialization would be pure build cost. The constant term keeps
+  /// small graphs (tests, benches) fully materialized.
+  static size_t MaterializeCap(size_t num_data);
 
   /// True when class `cls` has a materialized candidate list. Lists exist
   /// only for classes small enough that intersecting them against a vertex

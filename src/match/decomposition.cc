@@ -113,16 +113,24 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
                                  std::move(model));
 }
 
-RootDegrees ShortlistRootDegrees(const AttributedGraph& qo,
-                                 const AttributedGraph& data,
-                                 const CloudIndex& index) {
-  RootDegrees degrees(qo.NumVertices());
-  for (VertexId v = 0; v < qo.NumVertices(); ++v) {
-    for (const VertexId candidate : index.CandidateCenters(qo, v)) {
+RootDegrees ShortlistRootDegrees(const AttributedGraph& data,
+                                 RootCandidates& roots) {
+  RootDegrees degrees(roots.query().NumVertices());
+  for (VertexId v = 0; v < degrees.size(); ++v) {
+    const std::vector<VertexId>& candidates = roots.Of(v);
+    degrees[v].reserve(candidates.size());
+    for (const VertexId candidate : candidates) {
       degrees[v].push_back(data.Degree(candidate));
     }
   }
   return degrees;
+}
+
+RootDegrees ShortlistRootDegrees(const AttributedGraph& qo,
+                                 const AttributedGraph& data,
+                                 const CloudIndex& index) {
+  RootCandidates roots(index, qo);
+  return ShortlistRootDegrees(data, roots);
 }
 
 Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,

@@ -41,9 +41,13 @@ Result<UnitDecomposition> DecomposeQueryUnits(const AttributedGraph& qo,
 /// order — the input of the candidate-aware EstimateUnitCardinality.
 using RootDegrees = std::vector<std::vector<size_t>>;
 
-/// Root-candidate degrees from the hosted graph and its index: one
-/// CloudIndex::CandidateCenters shortlist per query vertex, shared by every
-/// unit rooted there.
+/// Root-candidate degrees from the hosted graph and the query's candidate
+/// space over its index: one shortlist per query vertex, shared by every
+/// unit rooted there (and, through `roots`, by the matcher).
+RootDegrees ShortlistRootDegrees(const AttributedGraph& data,
+                                 RootCandidates& roots);
+
+/// Same, over a candidate space of its own.
 RootDegrees ShortlistRootDegrees(const AttributedGraph& qo,
                                  const AttributedGraph& data,
                                  const CloudIndex& index);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <optional>
 #include <span>
 
 #include "match/aux_graph.h"
@@ -220,14 +222,15 @@ class SlotEnumerator {
   IntersectCounters counters_;
 };
 
-/// MatchUnit against a phase-shared aux graph (nullptr = aux off): the
-/// chunked candidate-root loop. Each chunk appends into its own MatchSet,
-/// all chunks share the atomic row budget, and the per-chunk sets
-/// concatenate in chunk order — so thread count never changes which rows
-/// exist (only, under truncation, which prefix of the enumeration survived).
+/// MatchUnit against a phase-shared aux graph (nullptr = aux off) and the
+/// unit root's shortlist `roots`: the chunked candidate-root loop. Each
+/// chunk appends into its own MatchSet, all chunks share the atomic row
+/// budget, and the per-chunk sets concatenate in chunk order — so thread
+/// count never changes which rows exist (only, under truncation, which
+/// prefix of the enumeration survived).
 UnitMatches MatchUnitWithAux(const AttributedGraph& data,
-                             const CloudIndex& index,
                              const AttributedGraph& qo, const QueryUnit& unit,
+                             std::span<const VertexId> roots,
                              const UnitMatchOptions& options,
                              const QueryAuxGraph* aux) {
   UnitMatches result;
@@ -238,11 +241,12 @@ UnitMatches MatchUnitWithAux(const AttributedGraph& data,
 
   // The root's depth-1 children are exactly its query neighbors, so the
   // VBV/LBV + neighborhood-subset shortlist applies to every unit shape.
-  std::vector<VertexId> candidates = index.CandidateCenters(qo, unit.root());
+  std::vector<VertexId> filtered;
+  std::span<const VertexId> candidates = roots;
   if (options.candidate_filter) {
-    std::erase_if(candidates, [&options](VertexId v) {
-      return !options.candidate_filter(v);
-    });
+    std::ranges::copy_if(roots, std::back_inserter(filtered),
+                         options.candidate_filter);
+    candidates = filtered;
   }
   result.num_candidates = candidates.size();
   if (candidates.empty()) return result;
@@ -331,11 +335,7 @@ std::vector<VertexId> UnitColumns(const AttributedGraph& qo,
 UnitMatches MatchUnit(const AttributedGraph& data, const CloudIndex& index,
                       const AttributedGraph& qo, const QueryUnit& unit,
                       const UnitMatchOptions& options) {
-  if (!options.use_aux_graph) {
-    return MatchUnitWithAux(data, index, qo, unit, options, nullptr);
-  }
-  const QueryAuxGraph aux = BuildPhaseAux(data, index, qo, options);
-  return MatchUnitWithAux(data, index, qo, unit, options, &aux);
+  return std::move(MatchUnits(data, index, qo, {unit}, options).front());
 }
 
 UnitMatches MatchUnit(const AttributedGraph& data, const CloudIndex& index,
@@ -352,6 +352,16 @@ std::vector<UnitMatches> MatchUnits(const AttributedGraph& data,
                                     const std::vector<QueryUnit>& units,
                                     const UnitMatchOptions& options) {
   std::vector<UnitMatches> all(units.size());
+  // Root shortlists are read here, serially, so the unit loop below only
+  // reads the candidate space.
+  std::optional<RootCandidates> own;
+  RootCandidates& space = options.root_candidates != nullptr
+                              ? *options.root_candidates
+                              : own.emplace(index, qo);
+  std::vector<std::span<const VertexId>> roots(units.size());
+  for (size_t i = 0; i < units.size(); ++i) {
+    roots[i] = space.Of(units[i].root());
+  }
   // One aux graph serves the whole phase: compatibility classes are per
   // query vertex, shared by every unit that binds the vertex.
   QueryAuxGraph aux;
@@ -377,7 +387,7 @@ std::vector<UnitMatches> MatchUnits(const AttributedGraph& data,
       return;
     }
     PPSM_TRACE_SPAN_CAT("cloud.unit_match.unit", "query");
-    all[i] = MatchUnitWithAux(data, index, qo, units[i], options, aux_ptr);
+    all[i] = MatchUnitWithAux(data, qo, units[i], roots[i], options, aux_ptr);
     if (all[i].truncated) abort.store(true, std::memory_order_relaxed);
   });
   return all;

@@ -86,6 +86,10 @@ struct UnitMatchOptions {
   /// remaining work with the affected units marked truncated. The cloud
   /// wires its query deadline here. Must be thread-safe; empty = never.
   std::function<bool()> cancelled;
+  /// The query's candidate space over `index` (match/index.h), shared with
+  /// the planner so each root shortlist is computed once per query; null =
+  /// the call computes its own. Must outlive the call.
+  RootCandidates* root_candidates = nullptr;
   /// Restricts the index's candidate shortlist to roots for which this
   /// predicate holds; empty = keep all. A sharded cloud passes its owned-set
   /// bitmap here: halo vertices carry incomplete adjacency in a slice, so

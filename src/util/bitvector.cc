@@ -1,27 +1,11 @@
 #include "util/bitvector.h"
 
-#include <bit>
 #include <cassert>
 
 namespace ppsm {
 
 BitVector::BitVector(size_t num_bits)
     : num_bits_(num_bits), words_((num_bits + kWordBits - 1) / kWordBits, 0) {}
-
-void BitVector::Set(size_t i, bool value) {
-  assert(i < num_bits_);
-  const uint64_t mask = uint64_t{1} << (i % kWordBits);
-  if (value) {
-    words_[i / kWordBits] |= mask;
-  } else {
-    words_[i / kWordBits] &= ~mask;
-  }
-}
-
-bool BitVector::Test(size_t i) const {
-  assert(i < num_bits_);
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1;
-}
 
 void BitVector::Reset() {
   for (auto& w : words_) w = 0;
@@ -37,9 +21,20 @@ void BitVector::SetAll() {
 }
 
 size_t BitVector::Count() const {
-  size_t count = 0;
-  for (uint64_t w : words_) count += static_cast<size_t>(std::popcount(w));
-  return count;
+  // SWAR popcount: a portable x86-64 build (no -mpopcnt) turns
+  // std::popcount into a library call per word; these shifts and adds
+  // stay inline and vectorize.
+  uint64_t count = 0;
+  for (uint64_t w : words_) {
+    w -= (w >> 1) & 0x5555555555555555ULL;
+    w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+    w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    w += w >> 8;
+    w += w >> 16;
+    w += w >> 32;
+    count += w & 0x7f;
+  }
+  return static_cast<size_t>(count);
 }
 
 BitVector& BitVector::operator&=(const BitVector& other) {
@@ -52,25 +47,6 @@ BitVector& BitVector::operator|=(const BitVector& other) {
   assert(num_bits_ == other.num_bits_);
   for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
   return *this;
-}
-
-bool BitVector::Contains(const BitVector& other) const {
-  assert(num_bits_ == other.num_bits_);
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != other.words_[i]) return false;
-  }
-  return true;
-}
-
-void BitVector::ForEachSetBit(const std::function<void(size_t)>& fn) const {
-  for (size_t wi = 0; wi < words_.size(); ++wi) {
-    uint64_t w = words_[wi];
-    while (w != 0) {
-      const int bit = std::countr_zero(w);
-      fn(wi * kWordBits + static_cast<size_t>(bit));
-      w &= w - 1;  // Clear lowest set bit.
-    }
-  }
 }
 
 std::vector<size_t> BitVector::ToIndices() const {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cloud/cloud_server.h"
@@ -138,6 +139,61 @@ TEST(AuxGraph, IndexBackedBuildMatchesPoolScanBuild) {
       EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
     }
   }
+}
+
+// The index-backed build lists a class by filtering its shortest group
+// posting list through the class bitmap; the pool-scan build scans the
+// bitmap. Lists and materialization must agree for classes just under, at
+// and just over the materialization cap — for one-group classes (the
+// posting list is the class) and two-group ones (it is a strict superset)
+// — for an empty group, and for a label-free class (no posting list).
+TEST(AuxGraph, PostingListClassesMatchBitmapScanAtTheCap) {
+  constexpr size_t kN = 1600;
+  const size_t cap = QueryAuxGraph::MaterializeCap(kN);
+  ASSERT_EQ(cap, 356u);
+  GraphBuilder b;
+  for (VertexId v = 0; v < kN; ++v) {
+    std::vector<LabelId> labels;
+    if (v < cap) labels.push_back(0);      // |0| = cap.
+    if (v < cap + 1) labels.push_back(1);  // |1| = cap + 1.
+    if (v < 500) labels.push_back(2);
+    if (v >= 144) labels.push_back(3);     // |2 ∩ 3| = cap.
+    if (v >= 143) labels.push_back(4);     // |2 ∩ 4| = cap + 1.
+    if (v + 1 < cap) labels.push_back(6);  // |6| = cap - 1.
+    b.AddVertex(0, std::move(labels));     // Group 5 stays empty.
+  }
+  for (VertexId v = 0; v < kN; ++v) b.TryAddEdge(v, (v + 1) % kN);
+  const AttributedGraph g = b.Build().value();
+  const CloudIndex index = CloudIndex::Build(g, kN / 2, 1, 7).value();
+
+  const std::vector<std::vector<LabelId>> signatures{
+      {0}, {1}, {2, 3}, {2, 4}, {5}, {6}, {}};
+  const std::vector<bool> materialized{true, false, true, false,
+                                       true, true,  false};
+  GraphBuilder qb;
+  for (const auto& labels : signatures) qb.AddVertex(0, labels);
+  const AttributedGraph qo = qb.Build().value();
+
+  const QueryAuxGraph scan = QueryAuxGraph::Build(g, qo);
+  const QueryAuxGraph indexed = QueryAuxGraph::Build(g, qo, 1, &index);
+  ASSERT_EQ(indexed.NumClasses(), signatures.size());
+  for (VertexId qv = 0; qv < qo.NumVertices(); ++qv) {
+    const size_t c = indexed.ClassOf(qv);
+    ASSERT_EQ(scan.ClassOf(qv), c);
+    EXPECT_EQ(indexed.ClassBits(c), scan.ClassBits(c)) << "qv=" << qv;
+    EXPECT_EQ(indexed.ClassMaterialized(c), scan.ClassMaterialized(c));
+    EXPECT_EQ(indexed.ClassMaterialized(c), materialized[qv]) << "qv=" << qv;
+    EXPECT_TRUE(std::ranges::equal(indexed.ClassCandidates(c),
+                                   scan.ClassCandidates(c)))
+        << "qv=" << qv;
+    if (materialized[qv]) {
+      EXPECT_EQ(indexed.ClassCandidates(c).size(),
+                indexed.ClassBits(c).Count());
+    }
+  }
+  // The {0} and {2, 3} classes sit exactly at the cap.
+  EXPECT_EQ(indexed.ClassBits(indexed.ClassOf(0)).Count(), cap);
+  EXPECT_EQ(indexed.ClassBits(indexed.ClassOf(2)).Count(), cap);
 }
 
 // A signature mentioning a label outside the index's bit spaces has no leaf

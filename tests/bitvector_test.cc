@@ -45,24 +45,6 @@ TEST(BitVector, AndOr) {
   EXPECT_EQ(join.ToIndices(), (std::vector<size_t>{1, 3, 50, 99}));
 }
 
-TEST(BitVector, ContainsIsSubsetTest) {
-  BitVector big(80), small(80), other(80);
-  big.Set(2);
-  big.Set(40);
-  big.Set(77);
-  small.Set(40);
-  small.Set(77);
-  other.Set(40);
-  other.Set(5);
-  EXPECT_TRUE(big.Contains(small));
-  EXPECT_TRUE(big.Contains(big));
-  EXPECT_FALSE(big.Contains(other));
-  EXPECT_FALSE(small.Contains(big));
-  const BitVector empty(80);
-  EXPECT_TRUE(big.Contains(empty));
-  EXPECT_TRUE(empty.Contains(empty));
-}
-
 TEST(BitVector, ForEachSetBitAscending) {
   BitVector bv(200);
   const std::vector<size_t> expected{0, 63, 64, 65, 128, 199};

@@ -4,9 +4,11 @@
 
 Walks both documents in parallel and reports every numeric leaf that
 changed, as `path: before -> after (delta%)`, plus leaves present on only
-one side. Non-numeric leaves are compared for equality only. Exit status is
-0 when no numeric leaf moved by more than --threshold percent (default:
-report-only, always 0), which makes the tool usable as a soft perf gate:
+one side. Non-numeric leaves are compared for equality only. With
+--threshold, exit status is 1 when a numeric leaf moved by more than that
+many percent, a leaf is present on only one side, or a non-numeric leaf
+changed; without it the tool only reports and always exits 0. That makes it
+usable as a gate:
 
     tools/bench_diff.py old/BENCH_query_obs.json new/BENCH_query_obs.json
     tools/bench_diff.py --threshold 5 old/serving.metrics.json \
@@ -61,7 +63,8 @@ def main():
     parser.add_argument(
         "--threshold", type=float, default=None, metavar="PCT",
         help="Exit 1 if any numeric leaf changed by more than PCT percent "
-             "(absolute). Default: report only, always exit 0.")
+             "(absolute), any leaf is present on only one side, or any "
+             "non-numeric leaf changed. Default: report only, always exit 0.")
     parser.add_argument(
         "--all", action="store_true",
         help="Also print unchanged leaves.")
@@ -80,13 +83,14 @@ def main():
     walk(before, after, "", leaves)
 
     changed = 0
-    over_threshold = 0
+    failed = 0  # Leaves that break the gate when --threshold is given.
     for path, old, new in leaves:
         if old is _MISSING or new is _MISSING:
             side = "only in after" if old is _MISSING else "only in before"
             present = new if old is _MISSING else old
             print(f"  {path}: {side} ({fmt(present)})")
             changed += 1
+            failed += 1
             continue
         if is_number(old) and is_number(new):
             if old == new:
@@ -102,18 +106,19 @@ def main():
             print(f"  {path}: {fmt(old)} -> {fmt(new)} ({pct_text})")
             changed += 1
             if args.threshold is not None and abs(pct) > args.threshold:
-                over_threshold += 1
+                failed += 1
         elif old != new:
             print(f"  {path}: {fmt(old)} -> {fmt(new)}")
             changed += 1
+            failed += 1
 
     if changed == 0:
         print("no differences")
     else:
         print(f"{changed} leaves differ")
-    if args.threshold is not None and over_threshold > 0:
-        print(f"FAIL: {over_threshold} numeric leaves moved more than "
-              f"{args.threshold:g}%")
+    if args.threshold is not None and failed > 0:
+        print(f"FAIL: {failed} leaves moved more than {args.threshold:g}%, "
+              "changed value, or are present on only one side")
         return 1
     return 0
 
