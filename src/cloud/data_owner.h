@@ -97,7 +97,7 @@ class DataOwner {
       const AttributedGraph& query) const;
 
   struct ClientStats {
-    double expand_ms = 0.0;  // Pass 1: per-cell shift selection.
+    double expand_ms = 0.0;  // Pass 1: shift selection by cell masks.
     double filter_ms = 0.0;  // Pass 2: injectivity + edges in G, sort.
     double total_ms = 0.0;
     /// (row, shift) pairs examined: k·|Rin|, or |Rin| for the baseline.
@@ -108,9 +108,11 @@ class DataOwner {
   };
 
   /// Algorithm 3: R(Q,G) from the cloud's Rin without materializing
-  /// R(Qo,Gk). Pass 1 tests each (Rin row, automorphic shift) pair cell by
-  /// cell — the image must be an original vertex of G carrying the query
-  /// vertex's types and labels. Pass 2 builds only the surviving images,
+  /// R(Qo,Gk). Pass 1 selects each Rin row's automorphic shifts whose image
+  /// of every cell is an original vertex of G carrying the query vertex's
+  /// types and labels; each distinct (column, vertex) cell is tested once
+  /// per call into a mask of passing shifts, and a row's survivors are the
+  /// AND of its cells' masks. Pass 2 builds only the surviving images,
   /// drops those that repeat a vertex or miss a query edge in G, and
   /// sort-deduplicates the rest. The baseline response is R(Qo,Gk) already
   /// and takes the identity shift only. `query` must be the original

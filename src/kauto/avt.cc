@@ -14,45 +14,20 @@ Avt::Avt(uint32_t k, uint32_t num_rows)
     : k_(k),
       num_rows_(num_rows),
       cells_(static_cast<size_t>(k) * num_rows, kInvalidVertex),
-      position_(static_cast<size_t>(k) * num_rows, kInvalidPosition) {
+      row_(static_cast<size_t>(k) * num_rows, kUnplaced),
+      block_(static_cast<size_t>(k) * num_rows, 0) {
   assert(k >= 1);
 }
 
 void Avt::Place(uint32_t row, uint32_t block, VertexId v) {
   assert(row < num_rows_ && block < k_);
-  assert(v < position_.size());
+  assert(v < row_.size());
   const size_t cell = CellIndex(row, block);
   assert(cells_[cell] == kInvalidVertex && "cell already filled");
-  assert(position_[v] == kInvalidPosition && "vertex already placed");
+  assert(row_[v] == kUnplaced && "vertex already placed");
   cells_[cell] = v;
-  position_[v] = cell;
-}
-
-VertexId Avt::At(uint32_t row, uint32_t block) const {
-  assert(row < num_rows_ && block < k_);
-  return cells_[CellIndex(row, block)];
-}
-
-uint32_t Avt::RowOf(VertexId v) const {
-  assert(Contains(v));
-  return static_cast<uint32_t>(position_[v] / k_);
-}
-
-uint32_t Avt::BlockOf(VertexId v) const {
-  assert(Contains(v));
-  return static_cast<uint32_t>(position_[v] % k_);
-}
-
-bool Avt::Contains(VertexId v) const {
-  return v < position_.size() && position_[v] != kInvalidPosition;
-}
-
-VertexId Avt::Apply(VertexId v, uint32_t m) const {
-  assert(Contains(v));
-  const uint64_t pos = position_[v];
-  const auto row = static_cast<uint32_t>(pos / k_);
-  const auto block = static_cast<uint32_t>(pos % k_);
-  return cells_[CellIndex(row, (block + m) % k_)];
+  row_[v] = row;
+  block_[v] = block;
 }
 
 std::vector<VertexId> Avt::ApplyToMatch(std::span<const VertexId> match,
@@ -72,18 +47,18 @@ std::vector<VertexId> Avt::BlockVertices(uint32_t block) const {
 }
 
 Status Avt::Validate() const {
-  std::vector<bool> seen(position_.size(), false);
+  std::vector<bool> seen(row_.size(), false);
   for (uint32_t r = 0; r < num_rows_; ++r) {
     for (uint32_t b = 0; b < k_; ++b) {
       const VertexId v = At(r, b);
-      if (v == kInvalidVertex || v >= position_.size()) {
+      if (v == kInvalidVertex || v >= row_.size()) {
         return Status::FailedPrecondition("AVT cell unfilled or out of range");
       }
       if (seen[v]) {
         return Status::FailedPrecondition("vertex appears twice in AVT");
       }
       seen[v] = true;
-      if (position_[v] != CellIndex(r, b)) {
+      if (row_[v] != r || block_[v] != b) {
         return Status::Internal("AVT inverse map disagrees with cells");
       }
     }
@@ -116,10 +91,10 @@ Result<Avt> Avt::Deserialize(std::span<const uint8_t> bytes) {
   for (uint32_t r = 0; r < avt.num_rows(); ++r) {
     for (uint32_t b = 0; b < avt.k(); ++b) {
       PPSM_ASSIGN_OR_RETURN(const uint64_t v, reader.GetVarint());
-      if (v >= avt.position_.size()) {
+      if (v >= avt.row_.size()) {
         return Status::InvalidArgument("AVT vertex id out of range");
       }
-      if (avt.position_[v] != kInvalidPosition) {
+      if (avt.row_[v] != kUnplaced) {
         return Status::InvalidArgument("AVT vertex repeated");
       }
       avt.Place(r, b, static_cast<VertexId>(v));

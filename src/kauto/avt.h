@@ -1,6 +1,7 @@
 #ifndef PPSM_KAUTO_AVT_H_
 #define PPSM_KAUTO_AVT_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -25,19 +26,37 @@ class Avt {
   uint32_t k() const { return k_; }
   uint32_t num_rows() const { return num_rows_; }
   /// Total vertices covered (= k * num_rows when complete).
-  size_t NumVertices() const { return position_.size(); }
+  size_t NumVertices() const { return row_.size(); }
 
   /// Places vertex `v` at (row, block). Each vertex may be placed once;
   /// each cell filled once.
   void Place(uint32_t row, uint32_t block, VertexId v);
 
-  VertexId At(uint32_t row, uint32_t block) const;
-  uint32_t RowOf(VertexId v) const;
-  uint32_t BlockOf(VertexId v) const;
-  bool Contains(VertexId v) const;
+  VertexId At(uint32_t row, uint32_t block) const {
+    assert(row < num_rows_ && block < k_);
+    return cells_[CellIndex(row, block)];
+  }
+  uint32_t RowOf(VertexId v) const {
+    assert(Contains(v));
+    return row_[v];
+  }
+  uint32_t BlockOf(VertexId v) const {
+    assert(Contains(v));
+    return block_[v];
+  }
+  bool Contains(VertexId v) const {
+    return v < row_.size() && row_[v] != kUnplaced;
+  }
 
-  /// F_m(v): shifts v's block by m (mod k). F_0 is the identity.
-  VertexId Apply(VertexId v, uint32_t m) const;
+  /// F_m(v): shifts v's block by m (mod k). F_0 is the identity. Inline and
+  /// division-free for m < k: the join and the client call it per cell.
+  VertexId Apply(VertexId v, uint32_t m) const {
+    assert(Contains(v));
+    if (m >= k_) m %= k_;
+    uint32_t block = block_[v] + m;
+    if (block >= k_) block -= k_;
+    return cells_[CellIndex(row_[v], block)];
+  }
   /// Applies F_m elementwise to a vertex tuple (a subgraph match).
   std::vector<VertexId> ApplyToMatch(std::span<const VertexId> match,
                                      uint32_t m) const;
@@ -67,10 +86,12 @@ class Avt {
   uint32_t k_ = 0;
   uint32_t num_rows_ = 0;
   std::vector<VertexId> cells_;  // Row-major (row * k + block).
-  /// position_[v] = row * k + block; kInvalidPosition when unplaced.
-  std::vector<uint64_t> position_;
+  /// The inverse map, 8 B per vertex: v sits at (row_[v], block_[v]);
+  /// row_[v] is kUnplaced until v is placed.
+  std::vector<uint32_t> row_;
+  std::vector<uint32_t> block_;
 
-  static constexpr uint64_t kInvalidPosition = UINT64_MAX;
+  static constexpr uint32_t kUnplaced = UINT32_MAX;
 };
 
 }  // namespace ppsm

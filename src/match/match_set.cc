@@ -11,6 +11,17 @@ namespace ppsm {
 
 namespace {
 constexpr uint32_t kMatchSetMagic = 0x3153544d;  // "MTS1"
+
+/// LEB128, byte for byte BinaryWriter::PutVarint; returns the end.
+uint8_t* PutVarint(uint8_t* out, uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(value);
+  return out;
+}
+
 }  // namespace
 
 void MatchSet::Append(std::span<const VertexId> match) {
@@ -154,12 +165,16 @@ bool MatchSet::HasDuplicateVertices(std::span<const VertexId> match) {
 }
 
 std::vector<uint8_t> MatchSet::Serialize() const {
-  BinaryWriter writer;
-  writer.PutU32(kMatchSetMagic);
-  writer.PutVarint(arity_);
-  writer.PutVarint(NumMatches());
-  for (const VertexId v : flat_) writer.PutVarint(v);
-  return writer.TakeBytes();
+  // Presized for the worst case (a 5-byte varint per 32-bit id, 10 per
+  // header count), then trimmed: no per-byte capacity checks.
+  std::vector<uint8_t> bytes(4 + 2 * 10 + 5 * flat_.size());
+  uint8_t* out = bytes.data();
+  for (int i = 0; i < 4; ++i) *out++ = (kMatchSetMagic >> (8 * i)) & 0xff;
+  out = PutVarint(out, arity_);
+  out = PutVarint(out, NumMatches());
+  for (const VertexId v : flat_) out = PutVarint(out, v);
+  bytes.resize(static_cast<size_t>(out - bytes.data()));
+  return bytes;
 }
 
 Result<MatchSet> MatchSet::Deserialize(std::span<const uint8_t> bytes) {
@@ -170,16 +185,38 @@ Result<MatchSet> MatchSet::Deserialize(std::span<const uint8_t> bytes) {
   }
   PPSM_ASSIGN_OR_RETURN(const uint64_t arity, reader.GetVarint());
   PPSM_ASSIGN_OR_RETURN(const uint64_t rows, reader.GetVarint());
-  if (arity * rows > reader.remaining()) {
-    // Every id costs at least one byte; reject absurd headers early.
+  if (arity == 0 && rows != 0) {
+    return Status::InvalidArgument("match-set rows without columns");
+  }
+  // Every id costs at least one byte; reject absurd headers before
+  // allocating. Dividing keeps arity * rows from wrapping.
+  const size_t body = reader.remaining();
+  if (arity != 0 && rows > body / arity) {
     return Status::OutOfRange("match-set count exceeds payload size");
   }
   MatchSet set(arity);
-  set.flat_.reserve(arity * rows);
-  for (uint64_t i = 0; i < arity * rows; ++i) {
-    PPSM_ASSIGN_OR_RETURN(const uint64_t v, reader.GetVarint());
-    if (v > UINT32_MAX) return Status::InvalidArgument("vertex id overflow");
-    set.flat_.push_back(static_cast<VertexId>(v));
+  set.flat_.resize(arity * rows);
+  // BinaryReader::GetVarint's rules, inlined: OutOfRange on a truncated or
+  // overlong (past 64 bits) varint, InvalidArgument on an id past 32 bits.
+  const uint8_t* in = bytes.data() + (bytes.size() - body);
+  const uint8_t* const end = bytes.data() + bytes.size();
+  for (VertexId& id : set.flat_) {
+    if (in != end && *in < 0x80) {
+      id = *in++;
+      continue;
+    }
+    uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      if (in == end) return Status::OutOfRange("truncated varint");
+      if (shift >= 64) return Status::OutOfRange("varint overflow");
+      const uint8_t byte = *in++;
+      value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+    if (value > UINT32_MAX) {
+      return Status::InvalidArgument("vertex id overflow");
+    }
+    id = static_cast<VertexId>(value);
   }
   return set;
 }

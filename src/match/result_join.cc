@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
+#include "match/join_index.h"
 #include "util/hash.h"
 #include "util/parallel.h"
 
@@ -13,13 +13,6 @@ namespace {
 
 /// Probe-side chunks below this size are not worth a pool task.
 constexpr size_t kMinProbeChunk = 128;
-
-/// Working state of the incremental join: a column list (query vertex ids)
-/// plus rows over those columns.
-struct Intermediate {
-  std::vector<VertexId> columns;
-  MatchSet rows;
-};
 
 uint64_t KeyOf(std::span<const VertexId> row,
                const std::vector<size_t>& positions) {
@@ -34,16 +27,37 @@ uint64_t KeyOfValues(std::span<const VertexId> values) {
   return key;
 }
 
-/// Joins `current` with one star's matches on their shared query vertices.
+/// One planned join step: the unit that joins in, how its columns meet the
+/// current intermediate's, and where each column lands in an output row.
+/// Every step but the last appends the new columns after the current ones;
+/// the last writes query-vertex order directly, so Rin needs no reorder
+/// pass.
+struct StepPlan {
+  size_t unit = 0;
+  std::vector<size_t> shared_current;  // Positions in the current columns.
+  std::vector<size_t> shared_star;     // Matching positions in the unit's.
+  std::vector<size_t> new_star;        // Unit positions adding a column.
+  std::vector<size_t> current_to_out;  // Output position per current column.
+  std::vector<size_t> new_to_out;      // Output position per new_star entry.
+};
+
+/// Joins `current` with one unit's matches on their shared query vertices.
 ///
-/// The star side logically contributes its Gk closure ∪_m F_m(star_rows)
-/// for m = 0..probe_k-1, but the closure is never materialized: the
-/// un-expanded rows are hashed once on the shared key, and every current
-/// row probes under each F_m by mapping its shared values through F_m^{-1}
-/// (F_m is a bijection, so `F_m(star_row) agrees with current_row` iff
-/// `star_row agrees with F_m^{-1}(current_row)`). New columns of a hit are
-/// shifted forward with F_m on the fly. With k = 1 (the baseline's identity
-/// table) probe_k is 1, which skips every Avt lookup.
+/// The unit logically contributes its Gk closure ∪_m F_m(star_rows) for
+/// m = 0..probe_k-1, but the closure is never materialized: the un-expanded
+/// rows are indexed once on the shared key, and every current row probes
+/// under each F_m by mapping its shared values through F_m^{-1} (F_m is a
+/// bijection, so `F_m(star_row) agrees with current_row` iff `star_row
+/// agrees with F_m^{-1}(current_row)`). New columns of a hit are shifted
+/// forward with F_m on the fly. With k = 1 (the baseline's identity table)
+/// probe_k is 1, which skips every Avt lookup.
+///
+/// No expanded row repeats another. Every unit root is matched from the
+/// index centers, which are B1 = AVT block 0, so for d >= 1 the image
+/// F_d(s) has its root in block d and is never itself a unit row; hence
+/// F_m(s) == F_m'(s') only when (s, m) == (s', m'). The index build checks
+/// that precondition (root column 0 in block 0 when probe_k > 1) and
+/// returns Internal when it fails, rather than a duplicated row.
 ///
 /// The probe side is partitioned into contiguous chunks across
 /// options.num_threads workers; each chunk appends into its own buffer and
@@ -52,102 +66,32 @@ uint64_t KeyOfValues(std::span<const VertexId> values) {
 /// share one atomic row budget; exceeding options.max_rows (non-zero) sets
 /// *overflow after folding the partial row counts into `diagnostics`.
 /// `step` (nullable, like `diagnostics`) receives this invocation's own
-/// build/output/drop counts; the caller stamps the star identity on it.
-Intermediate JoinStep(const Intermediate& current,
-                      const std::vector<VertexId>& star_columns,
-                      const MatchSet& star_rows, const Avt& avt,
-                      uint32_t probe_k, const JoinOptions& options,
-                      JoinDiagnostics* diagnostics, JoinStepProfile* step,
-                      bool* overflow) {
-  // Column bookkeeping: positions of shared columns on both sides, and the
-  // star columns that are new.
-  std::vector<size_t> shared_current;  // Positions in current.columns.
-  std::vector<size_t> shared_star;     // Positions in star_columns.
-  std::vector<size_t> new_star;        // Star positions appended to output.
-  for (size_t sp = 0; sp < star_columns.size(); ++sp) {
-    const auto it = std::find(current.columns.begin(), current.columns.end(),
-                              star_columns[sp]);
-    if (it != current.columns.end()) {
-      shared_current.push_back(
-          static_cast<size_t>(it - current.columns.begin()));
-      shared_star.push_back(sp);
-    } else {
-      new_star.push_back(sp);
+/// build/output/drop counts; the caller stamps the unit identity on it.
+Result<MatchSet> JoinStep(const MatchSet& current, const StepPlan& plan,
+                          const MatchSet& star_rows, const Avt& avt,
+                          uint32_t probe_k, const JoinOptions& options,
+                          JoinDiagnostics* diagnostics, JoinStepProfile* step,
+                          bool* overflow) {
+  const size_t out_arity = plan.current_to_out.size() + plan.new_to_out.size();
+  std::vector<uint64_t> keys(star_rows.NumMatches());
+  for (size_t r = 0; r < keys.size(); ++r) {
+    const auto row = star_rows.Get(r);
+    if (probe_k > 1 && (!avt.Contains(row[0]) || avt.BlockOf(row[0]) != 0)) {
+      return Status::Internal("unit root outside AVT block 0");
     }
+    keys[r] = KeyOf(row, plan.shared_star);
   }
-
-  Intermediate next;
-  next.columns = current.columns;
-  for (const size_t sp : new_star) next.columns.push_back(star_columns[sp]);
-  next.rows = MatchSet(next.columns.size());
-
-  // Hash the star side on the shared key (empty key = cross product).
-  std::unordered_map<uint64_t, std::vector<uint32_t>> star_index;
-  star_index.reserve(star_rows.NumMatches() * 2);
-  for (size_t r = 0; r < star_rows.NumMatches(); ++r) {
-    star_index[KeyOf(star_rows.Get(r), shared_star)].push_back(
-        static_cast<uint32_t>(r));
-  }
+  // Empty shared key = one bucket of every row (cross product).
+  const JoinIndex index(keys);
   if (diagnostics != nullptr) {
     ++diagnostics->join_steps;
     diagnostics->indexed_rows += star_rows.NumMatches();
   }
   if (step != nullptr) step->build_rows = star_rows.NumMatches();
 
-  // Build-side duplicate suppression (probe_k > 1 only). Expanded rows can
-  // coincide: F_m(r) == F_m'(r') iff r' == F_{m-m'}(r), because the AVT's
-  // functions compose cyclically (shift by m, then by m', is shift by
-  // m + m'). So F_m(r) repeats an earlier function's output iff some
-  // F_d(r), d in [1, m], is itself a star row — min_dup_shift[r] is the
-  // smallest such d (probe_k when none), making the probe-time check O(1).
-  // Scanning the output buffer instead would be quadratic in the join
-  // fanout per probe row.
-  std::vector<uint32_t> min_dup_shift;
-  if (probe_k > 1 && star_rows.NumMatches() > 0) {
-    std::unordered_map<uint64_t, std::vector<uint32_t>> row_index;
-    row_index.reserve(star_rows.NumMatches() * 2);
-    for (size_t r = 0; r < star_rows.NumMatches(); ++r) {
-      row_index[KeyOfValues(star_rows.Get(r))].push_back(
-          static_cast<uint32_t>(r));
-    }
-    min_dup_shift.assign(star_rows.NumMatches(), probe_k);
-    const size_t arity = star_columns.size();
-    ParallelForChunks(
-        options.num_threads, star_rows.NumMatches(), kMinProbeChunk,
-        [&](size_t /*chunk*/, size_t begin, size_t end) {
-          std::vector<VertexId> shifted(arity);
-          for (size_t r = begin; r < end; ++r) {
-            const auto row = star_rows.Get(r);
-            std::copy(row.begin(), row.end(), shifted.begin());
-            for (uint32_t d = 1; d < probe_k; ++d) {
-              for (size_t i = 0; i < arity; ++i) {
-                shifted[i] = avt.Apply(shifted[i], 1);
-              }
-              const auto it = row_index.find(KeyOfValues(shifted));
-              if (it == row_index.end()) continue;
-              bool found = false;
-              for (const uint32_t cand : it->second) {
-                const auto cand_row = star_rows.Get(cand);
-                if (std::equal(shifted.begin(), shifted.end(),
-                               cand_row.begin())) {
-                  found = true;
-                  break;
-                }
-              }
-              if (found) {
-                min_dup_shift[r] = d;
-                break;
-              }
-            }
-          }
-        });
-  }
-
-  const size_t num_current = current.columns.size();
-  const auto chunks = SplitIntoChunks(current.rows.NumMatches(),
+  const auto chunks = SplitIntoChunks(current.NumMatches(),
                                       options.num_threads, kMinProbeChunk);
-  std::vector<MatchSet> chunk_rows(chunks.size(),
-                                   MatchSet(next.columns.size()));
+  std::vector<MatchSet> chunk_rows(chunks.size(), MatchSet(out_arity));
   std::vector<size_t> chunk_drops(chunks.size(), 0);
   std::atomic<size_t> budget{0};
   std::atomic<bool> overflowed{false};
@@ -155,52 +99,36 @@ Intermediate JoinStep(const Intermediate& current,
   ParallelFor(options.num_threads, chunks.size(), [&](size_t c) {
     if (overflowed.load(std::memory_order_relaxed)) return;
     MatchSet& out = chunk_rows[c];
-    std::vector<VertexId> probe(shared_star.size());
-    std::vector<VertexId> combined(next.columns.size());
+    std::vector<VertexId> probe(plan.shared_star.size());
+    std::vector<VertexId> combined(out_arity);
     size_t drops = 0;
     for (size_t cr = chunks[c].first; cr < chunks[c].second; ++cr) {
-      const auto current_row = current.rows.Get(cr);
+      const auto current_row = current.Get(cr);
+      for (size_t p = 0; p < current_row.size(); ++p) {
+        combined[plan.current_to_out[p]] = current_row[p];
+      }
       for (uint32_t m = 0; m < probe_k; ++m) {
-        if (m == 0) {
-          for (size_t i = 0; i < shared_current.size(); ++i) {
-            probe[i] = current_row[shared_current[i]];
-          }
-        } else {
-          const uint32_t inv = avt.InverseShift(m);
-          for (size_t i = 0; i < shared_current.size(); ++i) {
-            probe[i] = avt.Apply(current_row[shared_current[i]], inv);
-          }
+        for (size_t i = 0; i < plan.shared_current.size(); ++i) {
+          const VertexId v = current_row[plan.shared_current[i]];
+          probe[i] = m == 0 ? v : avt.Apply(v, probe_k - m);  // F_m^{-1}.
         }
-        const auto it = star_index.find(KeyOfValues(probe));
-        if (it == star_index.end()) continue;
-        for (const uint32_t sr : it->second) {
-          const auto star_row = star_rows.Get(sr);
+        const uint64_t key = KeyOfValues(probe);
+        for (const JoinIndex::Entry& entry : index.Candidates(key)) {
+          if (entry.key != key) continue;
+          const auto star_row = star_rows.Get(entry.row);
           // Verify shared equality (hash collisions must not fabricate
           // rows).
           bool consistent = true;
-          for (size_t i = 0; i < shared_star.size(); ++i) {
-            if (star_row[shared_star[i]] != probe[i]) {
+          for (size_t i = 0; i < plan.shared_star.size(); ++i) {
+            if (star_row[plan.shared_star[i]] != probe[i]) {
               consistent = false;
               break;
             }
           }
           if (!consistent) continue;
-          // All hits for one current row agree on the shared columns, so an
-          // expanded row repeating an earlier function's output is exactly
-          // the min_dup_shift condition — exactly the rows a SortDedup over
-          // the materialized expansion would remove.
-          if (m > 0 && min_dup_shift[sr] <= m) continue;
-          std::copy(current_row.begin(), current_row.end(),
-                    combined.begin());
-          if (m == 0) {
-            for (size_t i = 0; i < new_star.size(); ++i) {
-              combined[num_current + i] = star_row[new_star[i]];
-            }
-          } else {
-            for (size_t i = 0; i < new_star.size(); ++i) {
-              combined[num_current + i] =
-                  avt.Apply(star_row[new_star[i]], m);
-            }
+          for (size_t i = 0; i < plan.new_star.size(); ++i) {
+            const VertexId v = star_row[plan.new_star[i]];
+            combined[plan.new_to_out[i]] = m == 0 ? v : avt.Apply(v, m);
           }
           if (MatchSet::HasDuplicateVertices(combined)) {
             ++drops;
@@ -238,10 +166,12 @@ Intermediate JoinStep(const Intermediate& current,
   if (overflowed.load(std::memory_order_relaxed)) {
     if (step != nullptr) step->overflow = true;
     *overflow = true;
-    return next;
+    return MatchSet(out_arity);
   }
-  next.rows.ReserveAdditional(total_rows);
-  for (const MatchSet& part : chunk_rows) next.rows.AppendAll(part);
+  if (chunk_rows.size() == 1) return std::move(chunk_rows[0]);
+  MatchSet next(out_arity);
+  next.ReserveAdditional(total_rows);
+  for (const MatchSet& part : chunk_rows) next.AppendAll(part);
   return next;
 }
 
@@ -298,33 +228,33 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
     diagnostics->steps.push_back(anchor_profile);
   }
   // An empty anchor empties every join down the line: return before any
-  // other star gets hash-indexed.
+  // other star gets indexed.
   if (stars[anchor].matches.NumMatches() == 0) {
     return MatchSet(num_query_vertices);
   }
-
-  Intermediate current{stars[anchor].columns, stars[anchor].matches};
   if (diagnostics != nullptr) {
-    diagnostics->peak_rows =
-        std::max(diagnostics->peak_rows, current.rows.NumMatches());
+    diagnostics->peak_rows = std::max(diagnostics->peak_rows,
+                                      stars[anchor].matches.NumMatches());
   }
 
-  const uint32_t probe_k = std::max<uint32_t>(avt.k(), 1);
+  // Plan the join order up front; it depends on the column lists and the
+  // costs only. Next star: overlapping with the current columns, cheapest
+  // by the cost model (Algorithm 2 line 4, with estimated instead of raw
+  // cardinalities when the decomposition supplied them); fall back to
+  // cheapest overall (cross product) for disconnected queries.
+  std::vector<VertexId> columns = stars[anchor].columns;
+  std::vector<StepPlan> plans;
   std::vector<bool> joined(stars.size(), false);
   joined[anchor] = true;
   for (size_t step = 1; step < stars.size(); ++step) {
-    // Next star: overlapping with the current columns, cheapest by the
-    // cost model (Algorithm 2 line 4, with estimated instead of raw
-    // cardinalities when the decomposition supplied them); fall back to
-    // cheapest overall (cross product) for disconnected queries.
     size_t next = SIZE_MAX;
     bool next_overlaps = false;
     for (size_t i = 0; i < stars.size(); ++i) {
       if (joined[i]) continue;
       bool overlaps = false;
       for (const VertexId column : stars[i].columns) {
-        if (std::find(current.columns.begin(), current.columns.end(),
-                      column) != current.columns.end()) {
+        if (std::find(columns.begin(), columns.end(), column) !=
+            columns.end()) {
           overlaps = true;
           break;
         }
@@ -338,68 +268,104 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
       }
     }
     joined[next] = true;
+    StepPlan plan;
+    plan.unit = next;
+    const std::vector<VertexId>& star_columns = stars[next].columns;
+    for (size_t sp = 0; sp < star_columns.size(); ++sp) {
+      const auto it = std::find(columns.begin(), columns.end(),
+                                star_columns[sp]);
+      if (it != columns.end()) {
+        plan.shared_current.push_back(
+            static_cast<size_t>(it - columns.begin()));
+        plan.shared_star.push_back(sp);
+      } else {
+        plan.new_star.push_back(sp);
+      }
+    }
+    for (size_t p = 0; p < columns.size(); ++p) {
+      plan.current_to_out.push_back(p);
+    }
+    for (const size_t sp : plan.new_star) {
+      plan.new_to_out.push_back(columns.size());
+      columns.push_back(star_columns[sp]);
+    }
+    plans.push_back(std::move(plan));
+  }
+
+  // Rin's columns are canonical (query vertex 0..m-1). When the final
+  // column list is a permutation of them, the last step writes each column
+  // straight to its query vertex's position.
+  const char* malformed = nullptr;
+  if (columns.size() != num_query_vertices) {
+    malformed = "star decomposition did not cover every query vertex";
+  } else {
+    std::vector<bool> seen(num_query_vertices, false);
+    for (const VertexId column : columns) {
+      if (column >= num_query_vertices || seen[column]) {
+        malformed = "join produced malformed columns";
+        break;
+      }
+      seen[column] = true;
+    }
+  }
+  if (malformed == nullptr && !plans.empty()) {
+    StepPlan& last = plans.back();
+    const std::vector<VertexId>& star_columns = stars[last.unit].columns;
+    for (size_t p = 0; p < last.current_to_out.size(); ++p) {
+      last.current_to_out[p] = columns[p];
+    }
+    for (size_t i = 0; i < last.new_star.size(); ++i) {
+      last.new_to_out[i] = star_columns[last.new_star[i]];
+    }
+  }
+
+  const uint32_t probe_k = std::max<uint32_t>(avt.k(), 1);
+  const MatchSet* current = &stars[anchor].matches;
+  MatchSet rows;
+  for (size_t step = 0; step < plans.size(); ++step) {
+    const UnitMatches& star = stars[plans[step].unit];
     JoinStepProfile profile;
-    profile.step = static_cast<uint32_t>(step);
-    profile.star_index = static_cast<uint32_t>(next);
-    profile.star_center = static_cast<uint32_t>(stars[next].center);
-    profile.estimated_rows = use_estimates ? cost_of(next) : 0.0;
-    profile.kind = UnitKindName(stars[next].kind);
+    profile.step = static_cast<uint32_t>(step + 1);
+    profile.star_index = static_cast<uint32_t>(plans[step].unit);
+    profile.star_center = static_cast<uint32_t>(star.center);
+    profile.estimated_rows = use_estimates ? cost_of(plans[step].unit) : 0.0;
+    profile.kind = UnitKindName(star.kind);
     bool overflow = false;
     // Lines 5-8 without materializing the expansion: probe under all k
     // automorphic functions.
-    current = JoinStep(current, stars[next].columns, stars[next].matches,
-                       avt, probe_k, options, diagnostics, &profile,
-                       &overflow);
+    PPSM_ASSIGN_OR_RETURN(
+        rows, JoinStep(*current, plans[step], star.matches, avt, probe_k,
+                       options, diagnostics, &profile, &overflow));
+    current = &rows;
     if (diagnostics != nullptr) diagnostics->steps.push_back(profile);
     if (overflow) {
       return Status::ResourceExhausted(
           "join intermediate exceeded the row cap");
     }
-    if (current.rows.NumMatches() == 0) {
+    if (rows.NumMatches() == 0) {
       return MatchSet(num_query_vertices);  // Rin is empty.
     }
   }
-
-  // Canonicalize columns to query order 0..m-1.
-  if (current.columns.size() != num_query_vertices) {
-    return Status::Internal(
-        "star decomposition did not cover every query vertex");
-  }
-  std::vector<size_t> position(num_query_vertices, SIZE_MAX);
-  for (size_t p = 0; p < current.columns.size(); ++p) {
-    if (current.columns[p] >= num_query_vertices ||
-        position[current.columns[p]] != SIZE_MAX) {
-      return Status::Internal("join produced malformed columns");
-    }
-    position[current.columns[p]] = p;
-  }
-  // The reorder scales with |Rin|, which can dwarf the join loop itself on
-  // high-fanout queries — run it chunked as well.
-  const auto chunks = SplitIntoChunks(current.rows.NumMatches(),
-                                      options.num_threads, kMinProbeChunk);
-  std::vector<MatchSet> parts(chunks.size(), MatchSet(num_query_vertices));
-  ParallelFor(options.num_threads, chunks.size(), [&](size_t c) {
-    MatchSet& part = parts[c];
-    part.ReserveAdditional(chunks[c].second - chunks[c].first);
+  if (malformed != nullptr) return Status::Internal(malformed);
+  if (plans.empty()) {
+    // A single unit: permute its columns into query order.
+    const MatchSet& unit = stars[anchor].matches;
+    rows = MatchSet(num_query_vertices);
+    rows.ReserveAdditional(unit.NumMatches());
     std::vector<VertexId> row(num_query_vertices);
-    for (size_t r = chunks[c].first; r < chunks[c].second; ++r) {
-      const auto source = current.rows.Get(r);
-      for (size_t q = 0; q < num_query_vertices; ++q) {
-        row[q] = source[position[q]];
-      }
-      part.Append(row);
+    for (size_t r = 0; r < unit.NumMatches(); ++r) {
+      const auto source = unit.Get(r);
+      for (size_t p = 0; p < source.size(); ++p) row[columns[p]] = source[p];
+      rows.Append(row);
     }
-  });
-  MatchSet canonical(num_query_vertices);
-  canonical.ReserveAdditional(current.rows.NumMatches());
-  for (const MatchSet& part : parts) canonical.AppendAll(part);
+  }
   // No dedup pass: every row is distinct by construction. The anchor rows
   // are distinct, and each JoinStep preserves that — a joined row pins down
-  // its probe row (the current columns) and the expanded star row F_m(s)
-  // (overlap + new columns), and the min-shift check already keeps exactly
-  // one (s, m) per expanded row. Sorting ~|Rin| distinct rows was the
-  // single most expensive phase of large joins, for presentation only.
-  return canonical;
+  // its probe row (the current columns) and the expanded unit row F_m(s)
+  // (overlap + new columns), and F_m(s) determines (s, m) because unit
+  // roots lie in block 0 (see JoinStep). Sorting ~|Rin| distinct rows was
+  // the single most expensive phase of large joins, for presentation only.
+  return rows;
 }
 
 }  // namespace ppsm

@@ -35,7 +35,7 @@ struct JoinDiagnostics {
   size_t injectivity_drops = 0;
   /// JoinStep invocations (0 when the anchor short-circuited the join).
   size_t join_steps = 0;
-  /// Total rows hash-indexed across steps. With automorphism-aware probing
+  /// Total rows indexed across steps. With automorphism-aware probing
   /// this counts *un-expanded* star rows — independent of k — where the old
   /// eager expansion indexed k times as many.
   size_t indexed_rows = 0;
@@ -70,8 +70,10 @@ struct JoinOptions {
 ///    (lines 5-8), natural-joined on the shared query vertices (line 9),
 ///    discarding rows that map two query vertices to one data vertex (lines
 ///    10-12). The expansion is never materialized: the un-expanded rows are
-///    hashed once and each current row probes under all k functions, so the
-///    k-fold intermediate copy never exists. The identity holds for any unit
+///    indexed once and each current row probes under all k functions, so the
+///    k-fold intermediate copy never exists. With k > 1 every non-anchor
+///    unit's root (column 0) must lie in AVT block 0, as units matched from
+///    the index centers (B1) do; otherwise the call returns Internal. The identity holds for any unit
 ///    whose depth the outsourced graph's hop radius covers (DESIGN.md §14);
 ///    the join itself reads only the column lists, never the unit's shape.
 ///  * Overlapping units are preferred (cheapest first, by the cost model

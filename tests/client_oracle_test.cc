@@ -5,12 +5,17 @@
 // the same MatchSet byte for byte — on responses served by a real cloud at
 // every method, k, Go radius and shard count, and on hand-built responses
 // holding orbit duplicates, noise vertices, repeated vertices and fabricated
-// edges.
+// edges. The client memoizes its per-cell test by (column, vertex) within a
+// call and shifts in windows of 64; the last tests pin both, and that
+// concurrent calls on one owner share nothing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cloud/cloud_server.h"
@@ -226,6 +231,156 @@ TEST(ClientOracle, HandBuiltResponsesAreByteIdentical) {
       }
     }
   }
+}
+
+TEST(ClientOracle, OneVertexInTwoColumnsKeepsTwoMasks) {
+  // Query a -- b, both of vertex v's type; b also needs a label that v lacks
+  // and its neighbour y has. Rin holds (v, y) and (y, v): v fits column a
+  // but not column b, so a per-cell test remembered by v alone would keep
+  // (y, v) or drop (v, y), depending on which row comes first.
+  const auto g = MakeGraph();
+  ASSERT_TRUE(g.ok()) << g.status();
+  std::optional<std::pair<VertexId, VertexId>> pair;  // (v, y).
+  LabelId label = 0;
+  for (VertexId y = 0; y < g->NumVertices() && !pair; ++y) {
+    for (const VertexId v : g->Neighbors(y)) {
+      if (g->PrimaryType(v) != g->PrimaryType(y)) continue;
+      for (const LabelId l : g->Labels(y)) {
+        if (!std::ranges::binary_search(g->Labels(v), l)) {
+          pair = {v, y};
+          label = l;
+          break;
+        }
+      }
+      if (pair) break;
+    }
+  }
+  ASSERT_TRUE(pair) << "fixture needs such an edge";
+  const auto [v, y] = *pair;
+  GraphBuilder builder(g->schema());
+  builder.AddVertex(g->PrimaryType(v), {});
+  builder.AddVertex(g->PrimaryType(v), {label});
+  ASSERT_TRUE(builder.AddEdge(0, 1).ok());
+  const AttributedGraph query = builder.Build().value();
+
+  for (const uint32_t k : {1u, 2u, 4u}) {
+    auto owner =
+        DataOwner::Create(*g, g->schema(), OwnerOptions(Method::kEff, k, 1));
+    ASSERT_TRUE(owner.ok()) << owner.status();
+    for (const bool v_first : {true, false}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " v_first=" + std::to_string(v_first));
+      MatchSet rin(2);
+      const std::vector<VertexId> fits = {v, y};
+      const std::vector<VertexId> misfits = {y, v};
+      rin.Append(v_first ? fits : misfits);
+      rin.Append(v_first ? misfits : fits);
+      const MatchSet kept = ExpectClientMatchesOracle(*owner, query, rin);
+      bool has_fits = false;
+      bool has_misfits = false;
+      for (size_t r = 0; r < kept.NumMatches(); ++r) {
+        has_fits = has_fits || std::ranges::equal(kept.Get(r), fits);
+        has_misfits = has_misfits || std::ranges::equal(kept.Get(r), misfits);
+      }
+      EXPECT_TRUE(has_fits);
+      EXPECT_FALSE(has_misfits);
+    }
+  }
+}
+
+TEST(ClientOracle, ShiftsPastSixtyFourUseASecondWindow) {
+  // k = 65: shift 64 lives in the second mask word. A Rin of the single
+  // image F_d(row) of the planted row finds it at shift k - d alone, so
+  // d = 1 needs the second window and d = 2 the last bit of the first.
+  // Rin of all k images and served responses cover the rest.
+  const auto g = MakeGraph();
+  ASSERT_TRUE(g.ok()) << g.status();
+  constexpr uint32_t k = 65;
+  auto owner =
+      DataOwner::Create(*g, g->schema(), OwnerOptions(Method::kEff, k, 1));
+  ASSERT_TRUE(owner.ok()) << owner.status();
+  auto server = CloudServer::Host(owner->upload_bytes());
+  ASSERT_TRUE(server.ok()) << server.status();
+  const Avt& avt = owner->kag().avt;
+  Rng rng(67);
+  for (size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("query=" + std::to_string(i));
+    auto extracted = ExtractQuery(*g, 2 + i % 2, rng);
+    ASSERT_TRUE(extracted.ok()) << extracted.status();
+    const AttributedGraph query =
+        i % 2 == 0 ? extracted->query : Loosen(extracted->query, g->schema());
+    const std::vector<VertexId>& row = extracted->planted;
+    for (const std::optional<uint32_t> d :
+         {std::optional<uint32_t>(1), std::optional<uint32_t>(2),
+          std::optional<uint32_t>(64), std::optional<uint32_t>()}) {
+      MatchSet rin(query.NumVertices());
+      for (uint32_t e = 0; e < k; ++e) {
+        if (!d || e == *d) rin.Append(avt.ApplyToMatch(row, e));
+      }
+      const MatchSet kept = ExpectClientMatchesOracle(*owner, query, rin);
+      bool found = false;
+      for (size_t r = 0; r < kept.NumMatches(); ++r) {
+        found = found || std::ranges::equal(kept.Get(r), row);
+      }
+      EXPECT_TRUE(found) << "d=" << d.value_or(k);
+    }
+
+    auto request = owner->AnonymizeQueryToRequest(query);
+    ASSERT_TRUE(request.ok()) << request.status();
+    auto answer = server->Serve(*request);
+    if (!answer.ok()) {
+      ASSERT_EQ(answer.status().code(), StatusCode::kResourceExhausted);
+      continue;
+    }
+    auto served = MatchSet::Deserialize(answer->response_payload);
+    ASSERT_TRUE(served.ok()) << served.status();
+    ExpectClientMatchesOracle(*owner, query, *served);
+  }
+}
+
+TEST(ClientOracle, ConcurrentCallsOnOneOwnerMatchSerial) {
+  // ProcessResponse is const and keeps its memo call-local: four threads
+  // answering on one owner must each get the serial answer.
+  const auto g = MakeGraph();
+  ASSERT_TRUE(g.ok()) << g.status();
+  auto owner =
+      DataOwner::Create(*g, g->schema(), OwnerOptions(Method::kEff, 4, 1));
+  ASSERT_TRUE(owner.ok()) << owner.status();
+  auto server = CloudServer::Host(owner->upload_bytes());
+  ASSERT_TRUE(server.ok()) << server.status();
+  std::vector<AttributedGraph> queries;
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<std::vector<uint8_t>> want;
+  Rng rng(71);
+  while (queries.size() < 8) {
+    auto extracted = ExtractQuery(*g, 2 + queries.size() % 3, rng);
+    ASSERT_TRUE(extracted.ok()) << extracted.status();
+    AttributedGraph query = Loosen(extracted->query, g->schema());
+    auto request = owner->AnonymizeQueryToRequest(query);
+    ASSERT_TRUE(request.ok()) << request.status();
+    auto answer = server->Serve(*request);
+    if (!answer.ok()) continue;
+    auto serial = owner->ProcessResponse(query, answer->response_payload);
+    ASSERT_TRUE(serial.ok()) << serial.status();
+    want.push_back(serial->Serialize());
+    payloads.push_back(std::move(answer->response_payload));
+    queries.push_back(std::move(query));
+  }
+  std::vector<size_t> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < 5; ++round) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const size_t q = (i + t) % queries.size();
+          auto got = owner->ProcessResponse(queries[q], payloads[q]);
+          if (!got.ok() || got->Serialize() != want[q]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < 4; ++t) EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
 }
 
 }  // namespace

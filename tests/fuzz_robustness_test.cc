@@ -103,6 +103,21 @@ TEST(FuzzRobustness, MatchSetDeserializer) {
                 return MatchSet::Deserialize(bytes).ok();
               },
               1004);
+  // Headers that contradict themselves, with no body: 2^32 x 2^32 ids
+  // (the product wraps to 0) and 2^40 rows of no columns.
+  for (const auto& [arity, rows] :
+       {std::pair<uint64_t, uint64_t>{1ULL << 32, 1ULL << 32},
+        std::pair<uint64_t, uint64_t>{0, 1ULL << 40}}) {
+    BinaryWriter header;
+    header.PutU32(0x3153544d);  // "MTS1"
+    header.PutVarint(arity);
+    header.PutVarint(rows);
+    const Result<MatchSet> decoded = MatchSet::Deserialize(header.bytes());
+    ASSERT_FALSE(decoded.ok()) << arity << " x " << rows;
+    EXPECT_TRUE(decoded.status().code() == StatusCode::kInvalidArgument ||
+                decoded.status().code() == StatusCode::kOutOfRange)
+        << decoded.status();
+  }
 }
 
 TEST(FuzzRobustness, UploadPackageDeserializer) {
