@@ -480,7 +480,8 @@ BENCHMARK(BM_IntersectKernel)
 
 // Args: {threads, use_index}. use_index = 1 is the serving path: the hosted
 // index's leaf VBVs turn each class into a handful of word-level ANDs.
-// use_index = 0 is the index-less fallback (one pass over the CSR pools).
+// use_index = 0 is the index-less fallback: one block-parallel containment
+// scan of the data vertices per class.
 void BM_AuxGraphBuild(benchmark::State& state) {
   JoinWorkload& w = JoinWorkload::Get(3);
   const size_t threads = static_cast<size_t>(state.range(0));
@@ -559,7 +560,10 @@ void BM_JoinProbe(benchmark::State& state) {
       rows += rin->NumMatches();
     }
     benchmark::DoNotOptimize(rows);
-    indexed_rows = diagnostics.indexed_rows;
+    indexed_rows = 0;
+    for (const JoinStepProfile& step : diagnostics.steps) {
+      indexed_rows += step.build_rows;
+    }
     peak_rows = diagnostics.peak_rows;
   }
   // indexed_rows is what the join materializes beyond its output: each

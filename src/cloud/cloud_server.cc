@@ -304,15 +304,7 @@ Result<WireAnswer> CloudQueryDriver::Serve(std::span<const uint8_t> qo_bytes,
   }
   // Translate to Gk ids so the join can apply the automorphic functions.
   for (UnitMatches& star : stars) {
-    MatchSet translated(star.matches.arity());
-    translated.ReserveAdditional(star.matches.NumMatches());
-    std::vector<VertexId> row(star.matches.arity());
-    for (size_t r = 0; r < star.matches.NumMatches(); ++r) {
-      const auto local = star.matches.Get(r);
-      for (size_t i = 0; i < local.size(); ++i) row[i] = to_gk_[local[i]];
-      translated.Append(row);
-    }
-    star.matches = std::move(translated);
+    star.matches.RemapIds(to_gk_);
     profile.rs_size += star.matches.NumMatches();
   }
   profile.star_matching_ms = phase_timer.ElapsedMillis();

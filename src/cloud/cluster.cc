@@ -359,22 +359,11 @@ Result<std::vector<UnitMatches>> CloudCluster::MatchUnitRows(
       return MatchUnits(shards_[s].data(), shards_[s].index(), qo, units,
                         shard_options);
     }();
-    const std::vector<VertexId>& to_global = to_global_[s];
     ShardProfile& shard = profile->shards[s];
     shard.shard = static_cast<uint32_t>(s);
     for (size_t i = 0; i < shard_rows[s].size(); ++i) {
       UnitMatches& unit = shard_rows[s][i];
-      MatchSet translated(unit.matches.arity());
-      translated.ReserveAdditional(unit.matches.NumMatches());
-      std::vector<VertexId> row(unit.matches.arity());
-      for (size_t r = 0; r < unit.matches.NumMatches(); ++r) {
-        const auto local = unit.matches.Get(r);
-        for (size_t c = 0; c < local.size(); ++c) {
-          row[c] = to_global[local[c]];
-        }
-        translated.Append(row);
-      }
-      unit.matches = std::move(translated);
+      unit.matches.RemapIds(to_global_[s]);
       shard.candidates += unit.num_candidates;
       shard.rows += unit.matches.NumMatches();
       if (!unit.skipped) skipped[i] = 0;

@@ -57,8 +57,8 @@ QueryAuxGraph QueryAuxGraph::Build(const AttributedGraph& data,
   if (num_data == 0) return aux;
 
   // An index is only trusted when its leaf VBVs span exactly this data
-  // graph; anything else (no index, or an index for some other graph) takes
-  // the pool-scan path below.
+  // graph's vertices; without one every class takes the containment scan
+  // below.
   const bool use_index =
       index != nullptr && index->num_leaf_vertices() == num_data;
 
@@ -66,118 +66,56 @@ QueryAuxGraph QueryAuxGraph::Build(const AttributedGraph& data,
   // (a group posting list), or none: then the class bitmap is scanned.
   std::vector<std::optional<std::span<const VertexId>>> superset(
       num_classes);
-  if (use_index) {
-    // Fast path: class bitmap = AND of the index's precomputed leaf VBVs —
-    // O(constraints) word-level ANDs per class, no per-query graph scan.
-    // A signature mentioning a type/label id outside the index bit spaces
-    // has no VBV (the index ignores out-of-bounds ids), but LeafCompatible
-    // tests the CSR pools directly, so those classes — vanishingly rare in
-    // practice — fall back to a block-parallel containment scan to keep the
-    // byte-identity contract exact.
-    std::vector<size_t> oob_classes;
-    for (size_t c = 0; c < num_classes; ++c) {
-      bool in_bounds = true;
-      for (const VertexTypeId t : qo.Types(reps[c])) {
-        if (t >= index->num_types()) in_bounds = false;
-      }
-      for (const LabelId l : qo.Labels(reps[c])) {
-        if (l >= index->num_groups()) in_bounds = false;
-      }
-      if (!in_bounds) {
-        oob_classes.push_back(c);
-        continue;
-      }
-      BitVector& bits = aux.class_bits_[c];
-      bits.SetAll();  // Empty signature: containment is vacuously true.
-      for (const VertexTypeId t : qo.Types(reps[c])) {
-        bits &= index->LeafTypeVbv(t);
-      }
-      for (const LabelId l : qo.Labels(reps[c])) {
-        bits &= index->LeafGroupVbv(l);
-        // Every class member carries l, so the shortest posting list of
-        // the class's groups is a superset of the class.
-        const std::span<const VertexId> postings = index->GroupPostings(l);
-        if (!superset[c] || postings.size() < superset[c]->size()) {
-          superset[c] = postings;
-        }
+  // Classes the index cannot answer. A signature mentioning a type/label id
+  // outside the index bit spaces has no VBV (the index ignores out-of-bounds
+  // ids), but LeafCompatible tests the CSR pools directly, so those classes
+  // take the scan too to keep the byte-identity contract exact.
+  const auto indexed = [&](VertexId rep) {
+    if (!use_index) return false;
+    for (const VertexTypeId t : qo.Types(rep)) {
+      if (t >= index->num_types()) return false;
+    }
+    for (const LabelId l : qo.Labels(rep)) {
+      if (l >= index->num_groups()) return false;
+    }
+    return true;
+  };
+  std::vector<size_t> scan_classes;
+  for (size_t c = 0; c < num_classes; ++c) {
+    if (!indexed(reps[c])) {
+      scan_classes.push_back(c);
+      continue;
+    }
+    // Class bitmap = AND of the index's precomputed leaf VBVs:
+    // O(constraints) word-level ANDs, no per-query graph scan.
+    BitVector& bits = aux.class_bits_[c];
+    bits.SetAll();  // Empty signature: containment is vacuously true.
+    for (const VertexTypeId t : qo.Types(reps[c])) {
+      bits &= index->LeafTypeVbv(t);
+    }
+    for (const LabelId l : qo.Labels(reps[c])) {
+      bits &= index->LeafGroupVbv(l);
+      // Every class member carries l, so the shortest posting list of the
+      // class's groups is a superset of the class.
+      const std::span<const VertexId> postings = index->GroupPostings(l);
+      if (!superset[c] || postings.size() < superset[c]->size()) {
+        superset[c] = postings;
       }
     }
-    for (const size_t c : oob_classes) {
-      const VertexId rep = reps[c];
-      const size_t num_blocks = (num_data + kBlock - 1) / kBlock;
-      ParallelFor(num_threads, num_blocks, [&](size_t block) {
-        const size_t begin = block * kBlock;
-        const size_t end = std::min(num_data, begin + kBlock);
+  }
+  if (!scan_classes.empty()) {
+    const size_t num_blocks = (num_data + kBlock - 1) / kBlock;
+    ParallelFor(num_threads, num_blocks, [&](size_t block) {
+      const size_t begin = block * kBlock;
+      const size_t end = std::min(num_data, begin + kBlock);
+      for (const size_t c : scan_classes) {
+        const VertexId rep = reps[c];
         for (VertexId dv = static_cast<VertexId>(begin); dv < end; ++dv) {
           if (data.TypesContainAll(dv, qo.Types(rep)) &&
               data.LabelsContainAll(dv, qo.Labels(rep))) {
             aux.class_bits_[c].Set(dv);
           }
         }
-      });
-    }
-  } else {
-    // Index-less path. The containment conditions factor per constraint: a
-    // vertex satisfies a class iff it carries EVERY type and EVERY label of
-    // the class signature. So instead of one containment scan per (vertex,
-    // class) pair, build one bitmap over data vertices per DISTINCT
-    // constraint the query mentions — a single pass over the CSR type/label
-    // pools — and reduce each class to word-level ANDs of its constraints'
-    // bitmaps.
-    int32_t max_type = -1, max_label = -1;
-    for (const VertexId rep : reps) {
-      for (const VertexTypeId t : qo.Types(rep)) {
-        max_type = std::max(max_type, static_cast<int32_t>(t));
-      }
-      for (const LabelId l : qo.Labels(rep)) {
-        max_label = std::max(max_label, static_cast<int32_t>(l));
-      }
-    }
-    // Dense constraint-id -> slot maps (-1 = constraint unused by the query).
-    std::vector<int32_t> type_slot(max_type + 1, -1);
-    std::vector<int32_t> label_slot(max_label + 1, -1);
-    size_t num_slots = 0;
-    for (const VertexId rep : reps) {
-      for (const VertexTypeId t : qo.Types(rep)) {
-        if (type_slot[t] < 0) type_slot[t] = static_cast<int32_t>(num_slots++);
-      }
-      for (const LabelId l : qo.Labels(rep)) {
-        if (label_slot[l] < 0) {
-          label_slot[l] = static_cast<int32_t>(num_slots++);
-        }
-      }
-    }
-
-    std::vector<BitVector> constraint_bits(num_slots, BitVector(num_data));
-    const size_t num_blocks = (num_data + kBlock - 1) / kBlock;
-    ParallelFor(num_threads, num_blocks, [&](size_t block) {
-      const size_t begin = block * kBlock;
-      const size_t end = std::min(num_data, begin + kBlock);
-      for (VertexId dv = static_cast<VertexId>(begin); dv < end; ++dv) {
-        for (const VertexTypeId t : data.Types(dv)) {
-          if (static_cast<int32_t>(t) <= max_type && type_slot[t] >= 0) {
-            constraint_bits[type_slot[t]].Set(dv);
-          }
-        }
-        for (const LabelId l : data.Labels(dv)) {
-          if (static_cast<int32_t>(l) <= max_label && label_slot[l] >= 0) {
-            constraint_bits[label_slot[l]].Set(dv);
-          }
-        }
-      }
-    });
-
-    // Reduce: class bitmap = AND over its constraints (all-ones when the
-    // signature is unconstrained — empty containment is vacuously true).
-    // Classes are independent, so this axis parallelizes trivially.
-    ParallelFor(num_threads, num_classes, [&](size_t c) {
-      BitVector& bits = aux.class_bits_[c];
-      bits.SetAll();
-      for (const VertexTypeId t : qo.Types(reps[c])) {
-        bits &= constraint_bits[type_slot[t]];
-      }
-      for (const LabelId l : qo.Labels(reps[c])) {
-        bits &= constraint_bits[label_slot[l]];
       }
     });
   }

@@ -43,14 +43,14 @@ class QueryAuxGraph {
   /// VBVs — O(classes × constraints) word operations, no per-query graph
   /// scan — and a materialized class with a group is listed by filtering
   /// that class's shortest group posting list through its bitmap rather
-  /// than by scanning the bitmap; classes whose signature mentions an id
-  /// outside the index's bit spaces fall back to a containment scan (the
+  /// than by scanning the bitmap. Every other class takes a containment
+  /// scan over the data vertices: all classes without an index (nullptr,
+  /// or one whose leaf VBVs do not span `data`'s vertices), and classes
+  /// whose signature mentions an id outside the index's bit spaces (the
   /// index ignores such ids, but byte-identity with
-  /// matcher_internal::LeafCompatible must not).
-  /// Without an index (nullptr, or one built over a different graph), the
-  /// whole build runs one pass over the CSR attribute pools. `num_threads >
-  /// 1` parallelizes over 64-aligned data-vertex blocks (each block owns a
-  /// disjoint uint64 word of every class bitmap, exactly the
+  /// matcher_internal::LeafCompatible must not). `num_threads > 1`
+  /// parallelizes the scan over 64-aligned data-vertex blocks (each block
+  /// owns a disjoint uint64 word of every class bitmap, exactly the
   /// CloudIndex::Build trick, so workers never touch the same word).
   static QueryAuxGraph Build(const AttributedGraph& data,
                              const AttributedGraph& qo, size_t num_threads = 1,

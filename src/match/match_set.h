@@ -32,19 +32,14 @@ class MatchSet {
   void AppendAll(const MatchSet& other);
   /// Pre-sizes the flat storage for `rows` additional matches.
   void ReserveAdditional(size_t rows);
-  /// Drops all rows but keeps arity and capacity.
-  void ClearRows() { flat_.clear(); }
   /// Row accessor.
   std::span<const VertexId> Get(size_t row) const;
 
   /// Sorts rows lexicographically and removes exact duplicates.
   void SortDedup();
-  /// Same result, computed with up to `num_threads` pool workers: chunk
-  /// sorts, pairwise parallel merges, then a parallel gather. Large joins
-  /// spend more time here than in the join loop itself, so the serial sort
-  /// would cap the parallel pipeline (Amdahl). Falls back to the serial
-  /// path for small sets or num_threads <= 1.
-  void SortDedup(size_t num_threads);
+  /// Rewrites every id v in place to `map[v]` (e.g. slice-local or
+  /// Go-local ids to Gk ids); every id must be below `map.size()`.
+  void RemapIds(std::span<const VertexId> map);
 
   /// New match set keeping only `columns` (indices into this set's arity,
   /// in the given order), deduplicated. Used e.g. to strip the imaginary

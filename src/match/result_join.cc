@@ -64,14 +64,13 @@ struct StepPlan {
 /// the buffers concatenate in chunk order, so the output row order — and
 /// therefore the result — is independent of the thread count. All chunks
 /// share one atomic row budget; exceeding options.max_rows (non-zero) sets
-/// *overflow after folding the partial row counts into `diagnostics`.
-/// `step` (nullable, like `diagnostics`) receives this invocation's own
-/// build/output/drop counts; the caller stamps the unit identity on it.
+/// *overflow after recording the partial row counts in `step`.
+/// `step` receives this invocation's own build/output/drop counts; the
+/// caller stamps the unit identity on it.
 Result<MatchSet> JoinStep(const MatchSet& current, const StepPlan& plan,
                           const MatchSet& star_rows, const Avt& avt,
                           uint32_t probe_k, const JoinOptions& options,
-                          JoinDiagnostics* diagnostics, JoinStepProfile* step,
-                          bool* overflow) {
+                          JoinStepProfile* step, bool* overflow) {
   const size_t out_arity = plan.current_to_out.size() + plan.new_to_out.size();
   std::vector<uint64_t> keys(star_rows.NumMatches());
   for (size_t r = 0; r < keys.size(); ++r) {
@@ -83,11 +82,7 @@ Result<MatchSet> JoinStep(const MatchSet& current, const StepPlan& plan,
   }
   // Empty shared key = one bucket of every row (cross product).
   const JoinIndex index(keys);
-  if (diagnostics != nullptr) {
-    ++diagnostics->join_steps;
-    diagnostics->indexed_rows += star_rows.NumMatches();
-  }
-  if (step != nullptr) step->build_rows = star_rows.NumMatches();
+  step->build_rows = star_rows.NumMatches();
 
   const auto chunks = SplitIntoChunks(current.NumMatches(),
                                       options.num_threads, kMinProbeChunk);
@@ -152,19 +147,13 @@ Result<MatchSet> JoinStep(const MatchSet& current, const StepPlan& plan,
   for (const MatchSet& part : chunk_rows) total_rows += part.NumMatches();
   size_t total_drops = 0;
   for (const size_t drops : chunk_drops) total_drops += drops;
-  if (diagnostics != nullptr) {
-    diagnostics->injectivity_drops += total_drops;
-    // Recorded before the overflow early-return below: the runs that hit
-    // the row cap are exactly the ones whose peak must not be
-    // under-reported.
-    diagnostics->peak_rows = std::max(diagnostics->peak_rows, total_rows);
-  }
-  if (step != nullptr) {
-    step->injectivity_drops = total_drops;
-    step->output_rows = total_rows;
-  }
+  // Recorded before the overflow early-return below: the caller's peak_rows
+  // reads output_rows, and the runs that hit the row cap are exactly the
+  // ones whose peak must not be under-reported.
+  step->injectivity_drops = total_drops;
+  step->output_rows = total_rows;
   if (overflowed.load(std::memory_order_relaxed)) {
-    if (step != nullptr) step->overflow = true;
+    step->overflow = true;
     *overflow = true;
     return MatchSet(out_arity);
   }
@@ -217,8 +206,6 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
   // join-calibration metrics (its "output" is a star cardinality, not a
   // join-step output).
   if (diagnostics != nullptr) {
-    diagnostics->anchor_index = anchor;
-    diagnostics->anchor_rows = stars[anchor].matches.NumMatches();
     JoinStepProfile anchor_profile;
     anchor_profile.step = 0;
     anchor_profile.star_index = static_cast<uint32_t>(anchor);
@@ -335,9 +322,13 @@ Result<MatchSet> JoinUnitMatches(const std::vector<UnitMatches>& stars,
     // automorphic functions.
     PPSM_ASSIGN_OR_RETURN(
         rows, JoinStep(*current, plans[step], star.matches, avt, probe_k,
-                       options, diagnostics, &profile, &overflow));
+                       options, &profile, &overflow));
     current = &rows;
-    if (diagnostics != nullptr) diagnostics->steps.push_back(profile);
+    if (diagnostics != nullptr) {
+      diagnostics->peak_rows =
+          std::max<size_t>(diagnostics->peak_rows, profile.output_rows);
+      diagnostics->steps.push_back(profile);
+    }
     if (overflow) {
       return Status::ResourceExhausted(
           "join intermediate exceeded the row cap");

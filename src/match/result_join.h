@@ -12,33 +12,19 @@ namespace ppsm {
 
 /// Diagnostics from a join run (the benches report these). `steps` carries
 /// the anchor (step 0) plus one JoinStepProfile per JoinStep invocation —
-/// which star joined in, the §5.1 estimate for it and the rows actually
-/// produced — so a bad matching order is diagnosable per step instead of
-/// only in aggregate. The flat totals below are kept in lockstep with
-/// `steps` (they are derived sums/maxima) so existing consumers stay valid.
+/// which unit joined in, the §5.1 estimate for it, the rows it indexed
+/// (`build_rows`), produced and dropped as non-injective — so a bad matching
+/// order is diagnosable per step; totals are sums over `steps`.
 struct JoinDiagnostics {
   /// Per-step trace, in join order. Step 0 is always the anchor star itself
   /// (no JoinStep runs for it; output_rows = anchor rows, estimated_rows =
   /// 0) so a served query never logs an empty trace — the zero-match
   /// short-circuit used to drop the anchor's provenance entirely.
   std::vector<JoinStepProfile> steps;
-  /// Index (into the input `stars`) of the chosen anchor star, SIZE_MAX
-  /// when the join never ran (input error).
-  size_t anchor_index = SIZE_MAX;
-  /// Rows of the anchor star (the initial intermediate).
-  size_t anchor_rows = 0;
   /// Peak intermediate row count across join steps. Under an overflow this
   /// still reflects the rows materialized up to the abort — the runs that
   /// hit the cap are exactly the ones whose peak matters.
   size_t peak_rows = 0;
-  /// Rows discarded by the duplicate-vertex (injectivity) filter.
-  size_t injectivity_drops = 0;
-  /// JoinStep invocations (0 when the anchor short-circuited the join).
-  size_t join_steps = 0;
-  /// Total rows indexed across steps. With automorphism-aware probing
-  /// this counts *un-expanded* star rows — independent of k — where the old
-  /// eager expansion indexed k times as many.
-  size_t indexed_rows = 0;
 };
 
 /// Knobs for the result join.

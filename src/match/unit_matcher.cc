@@ -301,11 +301,9 @@ QueryAuxGraph BuildPhaseAux(const AttributedGraph& data,
       QueryAuxGraph::Build(data, qo, options.num_threads, &index);
   if (options.phase_stats != nullptr) {
     // Accumulating (not assigning) lets a sharded cluster sum its per-slice
-    // aux builds into one phase record. aux_classes is a property of the
-    // query alone, identical across slices, so assignment is correct.
+    // aux builds into one phase record.
     options.phase_stats->aux_build_ms += timer.ElapsedMillis();
     options.phase_stats->aux_bytes += aux.MemoryBytes();
-    options.phase_stats->aux_classes = aux.NumClasses();
   }
   return aux;
 }

@@ -52,8 +52,6 @@ struct MatchPhaseStats {
   double aux_build_ms = 0;
   /// QueryAuxGraph::MemoryBytes() of the phase's aux graph.
   size_t aux_bytes = 0;
-  /// Distinct (types, labels) compatibility classes in the aux graph.
-  size_t aux_classes = 0;
   /// Per-kernel dispatch counts from util/intersect.h (aux path only).
   std::atomic<uint64_t> intersect_scalar{0};
   std::atomic<uint64_t> intersect_galloping{0};

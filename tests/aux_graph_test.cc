@@ -107,10 +107,11 @@ TEST(AuxGraph, ParallelBuildMatchesSerial) {
 
 // The serving path hands Build the hosted CloudIndex, whose leaf VBVs turn
 // each class into word-level ANDs. The result must be indistinguishable from
-// the index-less pool-scan build — same classes, bitmaps, candidate lists
-// and materialization decisions — including when the index covers fewer
-// centers than the graph has vertices (leaf VBVs span ALL vertices).
-TEST(AuxGraph, IndexBackedBuildMatchesPoolScanBuild) {
+// the index-less containment scan — same classes, bitmaps, candidate lists
+// and materialization decisions — and both must be exactly LeafCompatible,
+// including when the index covers fewer centers than the graph has vertices
+// (leaf VBVs span ALL vertices).
+TEST(AuxGraph, IndexBackedBuildMatchesContainmentScan) {
   Rng rng(131);
   for (int trial = 0; trial < 5; ++trial) {
     const auto g = GenerateUniformRandomGraph(120, 480, 4, 5000 + trial);
@@ -127,7 +128,10 @@ TEST(AuxGraph, IndexBackedBuildMatchesPoolScanBuild) {
     for (VertexId qv = 0; qv < qo.NumVertices(); ++qv) {
       EXPECT_EQ(scan.ClassOf(qv), indexed.ClassOf(qv));
       for (VertexId dv = 0; dv < g->NumVertices(); ++dv) {
-        ASSERT_EQ(scan.Compatible(qv, dv), indexed.Compatible(qv, dv))
+        const bool want = LeafCompatible(qo, qv, *g, dv);
+        ASSERT_EQ(scan.Compatible(qv, dv), want)
+            << "trial=" << trial << " qv=" << qv << " dv=" << dv;
+        ASSERT_EQ(indexed.Compatible(qv, dv), want)
             << "trial=" << trial << " qv=" << qv << " dv=" << dv;
       }
     }
@@ -138,12 +142,50 @@ TEST(AuxGraph, IndexBackedBuildMatchesPoolScanBuild) {
       ASSERT_EQ(a.size(), b.size()) << "class=" << c;
       EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
     }
+    EXPECT_EQ(scan.MemoryBytes(), indexed.MemoryBytes());
+  }
+}
+
+// Build trusts an index only when its leaf VBVs span the data graph's
+// vertices. An index built over another graph, smaller or larger, must be
+// ignored: every class takes the containment scan and the relation is still
+// exactly LeafCompatible over `data`.
+TEST(AuxGraph, IndexOverAnotherGraphFallsBackToContainmentScan) {
+  Rng rng(137);
+  const auto g = GenerateUniformRandomGraph(120, 480, 4, 5100);
+  ASSERT_TRUE(g.ok());
+  auto extracted = ExtractQuery(*g, 5, rng);
+  ASSERT_TRUE(extracted.ok());
+  const AttributedGraph& qo = extracted->query;
+  const QueryAuxGraph scan = QueryAuxGraph::Build(*g, qo);
+  for (const size_t other_vertices : {90u, 150u}) {
+    const auto other =
+        GenerateUniformRandomGraph(other_vertices, 4 * other_vertices, 4, 5200);
+    ASSERT_TRUE(other.ok());
+    const CloudIndex index =
+        CloudIndex::Build(*other, other->NumVertices(), 1, 4).value();
+    ASSERT_NE(index.num_leaf_vertices(), g->NumVertices());
+
+    const QueryAuxGraph aux = QueryAuxGraph::Build(*g, qo, 1, &index);
+    ASSERT_EQ(aux.NumClasses(), scan.NumClasses());
+    for (VertexId qv = 0; qv < qo.NumVertices(); ++qv) {
+      for (VertexId dv = 0; dv < g->NumVertices(); ++dv) {
+        ASSERT_EQ(aux.Compatible(qv, dv), LeafCompatible(qo, qv, *g, dv))
+            << "other=" << other_vertices << " qv=" << qv << " dv=" << dv;
+      }
+    }
+    for (size_t c = 0; c < aux.NumClasses(); ++c) {
+      EXPECT_EQ(aux.ClassBits(c), scan.ClassBits(c));
+      EXPECT_EQ(aux.ClassMaterialized(c), scan.ClassMaterialized(c));
+      EXPECT_TRUE(std::ranges::equal(aux.ClassCandidates(c),
+                                     scan.ClassCandidates(c)));
+    }
   }
 }
 
 // The index-backed build lists a class by filtering its shortest group
-// posting list through the class bitmap; the pool-scan build scans the
-// bitmap. Lists and materialization must agree for classes just under, at
+// posting list through the class bitmap; the containment-scan build scans
+// the bitmap. Lists and materialization must agree for classes just under, at
 // and just over the materialization cap — for one-group classes (the
 // posting list is the class) and two-group ones (it is a strict superset)
 // — for an empty group, and for a label-free class (no posting list).

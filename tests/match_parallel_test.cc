@@ -111,6 +111,23 @@ Avt IdentityAvt(uint32_t num_vertices) {
   return avt;
 }
 
+/// Unit rows the join indexed: the sum of every step's build side (the
+/// anchor, step 0, indexes nothing).
+uint64_t IndexedRows(const JoinDiagnostics& diagnostics) {
+  uint64_t rows = 0;
+  for (const JoinStepProfile& step : diagnostics.steps) rows += step.build_rows;
+  return rows;
+}
+
+/// Rows the join dropped as non-injective, summed over its steps.
+uint64_t InjectivityDrops(const JoinDiagnostics& diagnostics) {
+  uint64_t drops = 0;
+  for (const JoinStepProfile& step : diagnostics.steps) {
+    drops += step.injectivity_drops;
+  }
+  return drops;
+}
+
 UnitMatches MakeStar(std::vector<VertexId> columns,
                      const std::vector<std::vector<VertexId>>& rows) {
   UnitMatches star;
@@ -217,8 +234,8 @@ TEST(MatchParallel, ProbeJoinMatchesEagerExpansion) {
           << "k=" << k << " trial=" << trial;
       // The probe indexes each star once, un-expanded; eager indexes the
       // k-fold closure.
-      EXPECT_LE(probe_diag.indexed_rows, eager_diag.indexed_rows);
-      EXPECT_EQ(probe_diag.join_steps, eager_diag.join_steps);
+      EXPECT_LE(IndexedRows(probe_diag), IndexedRows(eager_diag));
+      EXPECT_EQ(probe_diag.steps.size(), eager_diag.steps.size());
     }
   }
 }
@@ -259,33 +276,6 @@ TEST(MatchParallel, JoinOutputIsAlreadyDeduplicated) {
     EXPECT_TRUE(*sorted == deduped) << "trial " << trial;
   }
   EXPECT_GE(nonempty, 1u);
-}
-
-TEST(MatchParallel, ParallelSortDedupMatchesSerial) {
-  // The keyed parallel SortDedup must produce byte-identical results to the
-  // serial overload, on sets large enough to take the parallel path and
-  // dense enough to exercise key ties and duplicate removal.
-  Rng rng(96);
-  for (const size_t arity : {1u, 2u, 5u}) {
-    MatchSet set(arity);
-    std::vector<VertexId> row(arity);
-    for (int r = 0; r < 40000; ++r) {
-      // Tiny domain: many duplicate rows and many equal 2-column prefixes.
-      for (size_t c = 0; c < arity; ++c) {
-        row[c] = static_cast<VertexId>(rng.Below(arity == 1 ? 5000 : 9));
-      }
-      set.Append(row);
-    }
-    MatchSet serial = set;
-    serial.SortDedup();
-    for (const size_t threads : {2u, 4u, 8u}) {
-      MatchSet parallel = set;
-      parallel.SortDedup(threads);
-      EXPECT_TRUE(parallel == serial)
-          << "arity " << arity << " at " << threads << " threads: got "
-          << parallel.NumMatches() << " rows, want " << serial.NumMatches();
-    }
-  }
 }
 
 TEST(MatchParallel, JoinVerifiesRowsBehindEqualHashKeys) {
@@ -463,7 +453,7 @@ TEST(MatchParallel, DisconnectedStarsFallBackToCrossProduct) {
   auto joined = JoinUnitMatches(stars, avt, 4, options, &diagnostics);
   ASSERT_TRUE(joined.ok()) << joined.status();
   EXPECT_EQ(joined->NumMatches(), 6u);  // 2 x 3, all value-disjoint.
-  EXPECT_EQ(diagnostics.join_steps, 1u);
+  EXPECT_EQ(diagnostics.steps.size(), 2u);  // The anchor plus one step.
 
   // Overlapping values: injectivity must prune the colliding combination.
   const std::vector<UnitMatches> overlapping = {
@@ -473,7 +463,7 @@ TEST(MatchParallel, DisconnectedStarsFallBackToCrossProduct) {
   auto pruned = JoinUnitMatches(overlapping, avt, 4, options, &diag2);
   ASSERT_TRUE(pruned.ok());
   EXPECT_EQ(pruned->NumMatches(), 3u);  // (0,1)x(1,5) reuses vertex 1.
-  EXPECT_EQ(diag2.injectivity_drops, 1u);
+  EXPECT_EQ(InjectivityDrops(diag2), 1u);
 }
 
 TEST(MatchParallel, OverflowStillRecordsPeakRows) {
@@ -498,7 +488,7 @@ TEST(MatchParallel, OverflowStillRecordsPeakRows) {
   ASSERT_FALSE(joined.ok());
   EXPECT_TRUE(joined.status().code() == StatusCode::kResourceExhausted);
   EXPECT_EQ(diagnostics.peak_rows, options.max_rows);
-  EXPECT_EQ(diagnostics.indexed_rows, big_rows.size());
+  EXPECT_EQ(IndexedRows(diagnostics), big_rows.size());
 }
 
 TEST(MatchParallel, ZeroMatchAnchorSkipsAllJoinWork) {
@@ -515,8 +505,7 @@ TEST(MatchParallel, ZeroMatchAnchorSkipsAllJoinWork) {
               : JoinUnitMatches(stars, avt, 3, {}, &diagnostics);
     ASSERT_TRUE(joined.ok()) << joined.status();
     EXPECT_EQ(joined->NumMatches(), 0u);
-    EXPECT_EQ(diagnostics.join_steps, 0u);
-    EXPECT_EQ(diagnostics.indexed_rows, 0u);
+    EXPECT_EQ(IndexedRows(diagnostics), 0u);
     // Regression: the short-circuit used to return with an empty `steps`
     // trace, hiding WHICH star emptied the result from the flight recorder.
     // The anchor must still be on record as a terminal step 0.
@@ -524,7 +513,6 @@ TEST(MatchParallel, ZeroMatchAnchorSkipsAllJoinWork) {
     EXPECT_EQ(diagnostics.steps[0].step, 0u);
     EXPECT_EQ(diagnostics.steps[0].star_index, 0u);
     EXPECT_EQ(diagnostics.steps[0].output_rows, 0u);
-    EXPECT_EQ(diagnostics.anchor_rows, 0u);
   }
 }
 

@@ -27,10 +27,8 @@
 // and hot-swap a running server.
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -43,6 +41,7 @@
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "query/pattern_parser.h"
+#include "tool_flags.h"
 #include "util/intersect.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -50,51 +49,9 @@
 namespace ppsm::cli {
 namespace {
 
-/// Minimal flag parser; flags may appear in any order, as either
-/// `--flag value` pairs or single `--flag=value` tokens.
-class Args {
- public:
-  Args(int argc, char** argv, int start) {
-    for (int i = start; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) {
-        error_ = "expected a --flag, got '" + std::string(arg) + "'";
-        return;
-      }
-      const char* eq = std::strchr(arg + 2, '=');
-      if (eq != nullptr) {
-        values_[std::string(arg + 2, eq)] = eq + 1;
-      } else if (i + 1 < argc) {
-        values_[arg + 2] = argv[++i];
-      } else {
-        error_ = "flag '" + std::string(arg) + "' is missing a value";
-        return;
-      }
-    }
-  }
-
-  const std::string& error() const { return error_; }
-  bool Has(const std::string& key) const { return values_.contains(key); }
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& key, double def) const {
-    return Has(key) ? std::atof(Get(key).c_str()) : def;
-  }
-  long GetInt(const std::string& key, long def) const {
-    return Has(key) ? std::atol(Get(key).c_str()) : def;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
-
-int Fail(const std::string& message) {
-  std::cerr << "error: " << message << "\n";
-  return 1;
-}
+using tools::Args;
+using tools::Fail;
+using tools::ParseMethod;
 
 int Generate(const Args& args) {
   const std::string preset = args.Get("preset", "dbp");
@@ -161,15 +118,6 @@ int Stats(const Args& args) {
   table.AddRowValues("labels", graph->schema()->NumLabels());
   table.Print();
   return 0;
-}
-
-Result<Method> ParseMethod(const std::string& name) {
-  if (name == "eff") return Method::kEff;
-  if (name == "ran") return Method::kRan;
-  if (name == "fsim") return Method::kFsim;
-  if (name == "bas") return Method::kBas;
-  return Status::InvalidArgument("unknown method '" + name +
-                                 "' (want eff|ran|fsim|bas)");
 }
 
 int Anonymize(const Args& args) {
@@ -352,28 +300,13 @@ int Query(const Args& args) {
     return Fail("--in or --load-snapshot is required");
   }
 
-  SystemConfig config;
-  config.k = static_cast<uint32_t>(args.GetInt("k", 2));
-  config.theta = static_cast<size_t>(args.GetInt("theta", 2));
-  auto method = ParseMethod(args.Get("method", "eff"));
-  if (!method.ok()) return Fail(method.status().ToString());
-  config.method = method.value();
   // --threads is the deprecated spelling of --cloud-threads.
-  config.cloud.num_threads = static_cast<size_t>(std::max(
-      1L, args.GetInt("cloud-threads", args.GetInt("threads", 1))));
-  config.setup_threads =
-      static_cast<size_t>(std::max(1L, args.GetInt("setup-threads", 1)));
-  config.cloud.query_deadline_ms =
-      static_cast<uint64_t>(std::max(0L, args.GetInt("deadline-ms", 0)));
-  // --shards=S hosts a CloudCluster of S slice servers instead of one
-  // CloudServer; results are byte-identical at any value (DESIGN.md §13).
-  config.num_shards =
-      static_cast<uint32_t>(std::max(1L, args.GetInt("shards", 1)));
-  // --go-hops=H uploads the radius-H Go so the planner may pick path/tree
-  // units of depth up to H; --max-unit-depth=1 forces star-only planning
-  // (byte-identical to the pre-unit pipeline at any radius).
-  config.go_hops =
-      static_cast<uint32_t>(std::max(1L, args.GetInt("go-hops", 1)));
+  auto deployment =
+      tools::ParseDeploymentFlags(args, args.GetInt("threads", 1));
+  if (!deployment.ok()) return Fail(deployment.status().ToString());
+  SystemConfig config = *std::move(deployment);
+  // --max-unit-depth=1 forces star-only planning (byte-identical to the
+  // pre-unit pipeline at any --go-hops radius).
   config.cloud.max_unit_depth =
       static_cast<uint32_t>(std::max(0L, args.GetInt("max-unit-depth", 0)));
   // --aux-graph=0 disables the per-query auxiliary graph (A/B reference
@@ -391,17 +324,7 @@ int Query(const Args& args) {
     config.cloud.max_inflight = concurrency;
   }
 
-  // A snapshot restores the whole owner-side state (offline pipeline
-  // already applied: the snapshot's k and baseline flag win over flags).
-  auto system = [&]() -> Result<PpsmSystem> {
-    if (!snapshot_in.empty()) {
-      return PpsmSystem::LoadSnapshot(snapshot_in, config);
-    }
-    auto graph = ReadGraphTextFile(in);
-    if (!graph.ok()) return graph.status();
-    auto schema = graph->schema();
-    return PpsmSystem::Setup(*std::move(graph), std::move(schema), config);
-  }();
+  auto system = tools::BuildSystem(in, snapshot_in, config);
   if (!system.ok()) return Fail(system.status().ToString());
 
   const std::string snapshot_out = args.Get("save-snapshot");

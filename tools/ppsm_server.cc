@@ -16,71 +16,21 @@
 // in. Queries in flight finish on the snapshot they started on; no query
 // is dropped or mixed across snapshots.
 
+#include <chrono>
 #include <csignal>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 
-#include "core/ppsm_system.h"
-#include "graph/text_io.h"
 #include "net/ppsm_server.h"
 #include "net/serving_system.h"
+#include "tool_flags.h"
 
 namespace ppsm::server_main {
 namespace {
 
-/// Minimal flag parser, same conventions as ppsm_cli.
-class Args {
- public:
-  Args(int argc, char** argv, int start) {
-    for (int i = start; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) {
-        error_ = "expected a --flag, got '" + std::string(arg) + "'";
-        return;
-      }
-      const char* eq = std::strchr(arg + 2, '=');
-      if (eq != nullptr) {
-        values_[std::string(arg + 2, eq)] = eq + 1;
-      } else if (i + 1 < argc) {
-        values_[arg + 2] = argv[++i];
-      } else {
-        error_ = "flag '" + std::string(arg) + "' is missing a value";
-        return;
-      }
-    }
-  }
-
-  const std::string& error() const { return error_; }
-  bool Has(const std::string& key) const { return values_.contains(key); }
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? def : it->second;
-  }
-  long GetInt(const std::string& key, long def) const {
-    return Has(key) ? std::atol(Get(key).c_str()) : def;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::string error_;
-};
-
-int Fail(const std::string& message) {
-  std::cerr << "error: " << message << "\n";
-  return 1;
-}
-
-Result<Method> ParseMethod(const std::string& name) {
-  if (name == "eff") return Method::kEff;
-  if (name == "ran") return Method::kRan;
-  if (name == "fsim") return Method::kFsim;
-  if (name == "bas") return Method::kBas;
-  return Status::InvalidArgument("unknown method '" + name +
-                                 "' (want eff|ran|fsim|bas)");
-}
+using tools::Args;
+using tools::Fail;
 
 PpsmServer* g_server = nullptr;
 volatile std::sig_atomic_t g_stop = 0;
@@ -111,33 +61,14 @@ int Main(int argc, char** argv) {
   const std::string snapshot_in = args.Get("load-snapshot");
   if (in.empty() && snapshot_in.empty()) return Usage();
 
-  SystemConfig config;
-  config.k = static_cast<uint32_t>(args.GetInt("k", 2));
-  config.theta = static_cast<size_t>(args.GetInt("theta", 2));
-  auto method = ParseMethod(args.Get("method", "eff"));
-  if (!method.ok()) return Fail(method.status().ToString());
-  config.method = method.value();
-  config.cloud.num_threads = static_cast<size_t>(
-      std::max(1L, args.GetInt("cloud-threads", 1)));
-  config.setup_threads = static_cast<size_t>(
-      std::max(1L, args.GetInt("setup-threads", 1)));
-  config.cloud.query_deadline_ms =
-      static_cast<uint64_t>(std::max(0L, args.GetInt("deadline-ms", 0)));
-  config.num_shards =
-      static_cast<uint32_t>(std::max(1L, args.GetInt("shards", 1)));
-  config.go_hops =
-      static_cast<uint32_t>(std::max(1L, args.GetInt("go-hops", 1)));
+  auto config = tools::ParseDeploymentFlags(args, /*default_cloud_threads=*/1);
+  if (!config.ok()) return Fail(config.status().ToString());
 
   // The build recipe doubles as the reload recipe: every invocation
   // re-reads the inputs from disk, so a SIGHUP after replacing the graph
   // file (or snapshot directory) publishes the new data.
-  const auto build = [in, snapshot_in, config]() -> Result<PpsmSystem> {
-    if (!snapshot_in.empty()) {
-      return PpsmSystem::LoadSnapshot(snapshot_in, config);
-    }
-    PPSM_ASSIGN_OR_RETURN(AttributedGraph graph, ReadGraphTextFile(in));
-    auto schema = graph.schema();
-    return PpsmSystem::Setup(std::move(graph), std::move(schema), config);
+  const auto build = [in, snapshot_in, config = *config] {
+    return tools::BuildSystem(in, snapshot_in, config);
   };
 
   auto system = build();
